@@ -2,7 +2,7 @@
 """End-to-end benchmark of the marea container stack (see README.md).
 
     python3 perfbench/run.py --workload telemetry|mission|fleet_sim \
-        --seed N --seconds S --trace 0|1 [--rate R]
+        --seed N --seconds S --trace 0|1
 
 Run from the root of a checkout. Builds the marea libraries and the
 perfbench binary from source into .bench_build/ (Release), runs one
@@ -53,8 +53,6 @@ def main():
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
-    ap.add_argument("--rate", type=float, default=0,
-                    help="telemetry samples/s override (rate ladder)")
     args = ap.parse_args()
 
     env = dict(os.environ)
@@ -68,8 +66,6 @@ def main():
         return 2
     cmd = [binary, "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace)]
-    if args.rate > 0:
-        cmd += ["--rate", str(args.rate)]
     if args.trace:
         os.makedirs(TRACES, exist_ok=True)
         cmd += ["--dump-dir", TRACES]

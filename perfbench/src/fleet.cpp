@@ -1,5 +1,5 @@
-// `fleet_sim`: a sharded SimDomain of 256 nodes on 4 shards driven by 2
-// worker threads. Every node publishes a 100 Hz variable to its ring
+// `fleet_sim`: a sharded SimDomain of 256 nodes on 4 shards driven by one
+// thread, as bench_fleet's n256 stage runs it. Every node publishes a 100 Hz variable to its ring
 // neighbour, fires an event every 10th sample and calls its neighbour
 // once per virtual second, for a fixed virtual time. The timer wheel,
 // ShardGrid windows, SimNetwork fan-out and middleware CPU do all the
@@ -39,7 +39,11 @@ using fleet::Beacon;
 
 constexpr int kNodes = 256;
 constexpr uint32_t kShards = 4;
-constexpr uint32_t kThreads = 2;
+// One thread: with two, every ShardGrid window (50 per 10 ms step)
+// ends in a barrier whose sleeping side waits for the hypervisor to run
+// its vCPU again, so at 5-7% host steal the median step took 2-3x longer
+// while its CPU cost hardly moved.
+constexpr uint32_t kThreads = 1;
 constexpr int64_t kTickNs = 10'000'000;  // 100 Hz
 constexpr int kEventEvery = 10;          // samples per event
 constexpr int kRpcEvery = 100;           // samples per RPC (1/s)
@@ -48,8 +52,8 @@ const Duration kSlice = milliseconds(10);  // one run_for step
 const Duration kDrain = milliseconds(100);
 // Virtual seconds simulated per wall second of --seconds on a 4-vCPU
 // host, so a run measures for about the requested wall time.
-constexpr double kVirtualPerWall = 0.5;
-constexpr int kFleetSetupReps = 3;
+constexpr double kVirtualPerWall = 0.25;
+constexpr int kFleetSetupReps = 5;
 
 uint32_t checksum_of(const Beacon& b) {
   uint8_t buf[32];
@@ -337,14 +341,18 @@ WindowOut run_window(Rig& rig, double virtual_s, bool traced, Result& r) {
   }
   // Exact accounting on a lossless simulated link: every measured
   // sample and event reaches the neighbour once; every call is answered.
-  if (recv > pub) r.fail_check("fleet_sim: more samples delivered than published");
-  if (erecv != epub) {
-    r.fail_check("fleet_sim: events delivered " + std::to_string(erecv) +
-                 " != published " + std::to_string(epub));
-  }
+  auto exact = [&r](const char* what, uint64_t got, const char* vs, uint64_t want) {
+    if (got != want) {
+      r.fail_check(std::string("fleet_sim: ") + what + " " + std::to_string(got) + " != " +
+                   vs + " " + std::to_string(want));
+    }
+  };
+  exact("samples delivered", recv, "published", pub);
+  exact("events delivered", erecv, "published", epub);
+  exact("RPC replies", replies, "calls", calls);
+  exact("RPC errors", errors, "expected", 0);
   out.expected = pub + epub + calls;
-  out.delivered = std::min(recv, pub) + std::min(erecv, epub) + replies;
-  if (errors) r.detail("rpc_errors", static_cast<double>(errors), "count");
+  out.delivered = std::min(recv, pub) + std::min(erecv, epub) + std::min(replies, calls);
   out.wall_s = (t1 - t0) * 1e-9;
   out.cpu_us_per_msg = ratio(out.cpu_s * 1e6, static_cast<double>(out.delivered));
   out.allocs_per_msg = ratio(static_cast<double>(allocs), static_cast<double>(out.delivered));
@@ -370,11 +378,12 @@ Result run_fleet_sim(const RunOptions& opts) {
 
   // Set-up: build the domain and step virtual time until every node is
   // bound. Each rep uses the same seed, so the event count at readiness
-  // must repeat exactly (the determinism check).
+  // must repeat exactly (the determinism check; traced runs keep two
+  // set-ups so it still applies).
   std::vector<double> setups;
   std::unique_ptr<Rig> rig;
   uint64_t ready_events = 0;
-  const int reps = opts.trace ? 1 : kFleetSetupReps;
+  const int reps = opts.trace ? 2 : kFleetSetupReps;
   for (int rep = 0; rep < reps; ++rep) {
     rig.reset();
     const int64_t t = now_ns();

@@ -19,18 +19,21 @@ void Windows::add(double p50, int64_t n, double cpu, int64_t delivered) {
 }
 
 void Windows::report(Result& r, const std::string& what) const {
-  const size_t p = static_cast<size_t>(
-      std::min_element(p50_us.begin(), p50_us.end()) - p50_us.begin());
-  const size_t c = static_cast<size_t>(
-      std::min_element(cpu_us_per_msg.begin(), cpu_us_per_msg.end()) -
-      cpu_us_per_msg.begin());
-  r.e2e("p50_us", p50_us[p], "us", p50_n[p]);
-  r.e2e("cpu_us_per_msg", cpu_us_per_msg[c], "us", deliveries[c]);
+  int64_t least = deliveries.empty() ? 0 : deliveries[0];
   for (size_t k = 0; k < p50_us.size(); ++k) {
     const std::string w = "window" + std::to_string(k) + ".";
     r.detail(w + what, p50_us[k], "us", p50_n[k]);
     r.detail(w + "cpu_us_per_msg", cpu_us_per_msg[k], "us", deliveries[k]);
+    least = std::min(least, std::min(p50_n[k], deliveries[k]));
   }
+  if (least <= 0) r.fail_check("a measured window delivered nothing");
+  auto total = [](const std::vector<int64_t>& v) {
+    int64_t t = 0;
+    for (int64_t x : v) t += x;
+    return t;
+  };
+  r.e2e("p50_us", median_of(p50_us), "us", total(p50_n));
+  r.e2e("cpu_us_per_msg", median_of(cpu_us_per_msg), "us", total(deliveries));
 }
 
 void emit_layers(Result& r, const LayerValues& v) {
@@ -47,9 +50,6 @@ void emit_layers(Result& r, const LayerValues& v) {
   r.layer("protocol.frame_seal_ns", v.frame_seal_ns, "ns");
   r.layer("protocol.arq_frames_per_event", v.arq_frames_per_event, "count");
   r.layer("protocol.arq_retransmits_per_kevent", v.arq_retransmits_per_kevent, "count");
-  r.layer("protocol.mftp_wire_bytes_per_file_byte", v.mftp_wire_bytes_per_file_byte, "ratio");
-  r.layer("protocol.mftp_chunk_retransmits", v.mftp_chunk_retransmits, "count");
-  r.layer("protocol.chunk_table_build_ms", v.chunk_table_build_ms, "ms");
   r.layer("util.heap_allocs_per_msg", v.heap_allocs_per_msg, "count");
   r.layer("util.frame_pool_hit_ratio", v.frame_pool_hit_ratio, "ratio");
   r.layer("transport.frames_sent_per_msg", v.frames_sent_per_msg, "count");

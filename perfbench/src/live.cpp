@@ -281,7 +281,6 @@ void fill_live_layers(LayerValues& v, const LiveStack::Counters& d,
   v.frames_send_failed = f(d.frames_send_failed);
   v.arq_frames_per_event = ratio(f(d.arq_frames), f(d.arq_messages));
   v.arq_retransmits_per_kevent = ratio(1000.0 * f(d.arq_retransmits), f(d.arq_messages));
-  v.mftp_chunk_retransmits = f(d.mftp_chunk_retransmits);
   v.frame_pool_hit_ratio = ratio(f(d.pool_hits), f(d.pool_checkouts));
   v.frames_sent_per_msg = ratio(f(d.frames_sent), msgs);
   v.bytes_sent_per_msg = ratio(f(d.bytes_sent), msgs);

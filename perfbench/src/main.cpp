@@ -1,7 +1,7 @@
 // perfbench: end-to-end benchmark of the marea container stack.
 //
 //   perfbench --workload telemetry|mission|fleet_sim --seed N
-//             --seconds S --trace 0|1 [--rate R] [--dump-dir DIR]
+//             --seconds S --trace 0|1 [--dump-dir DIR]
 //
 // Prints every metric by name with its unit (and sample count), then one
 // JSON line: {"correct", "attempted", "failed", "metrics"}. With --trace 0
@@ -21,7 +21,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: perfbench --workload telemetry|mission|fleet_sim "
-               "--seed N --seconds S --trace 0|1 [--rate R] [--dump-dir DIR]\n");
+               "--seed N --seconds S --trace 0|1 [--dump-dir DIR]\n");
   return 2;
 }
 
@@ -42,8 +42,6 @@ int main(int argc, char** argv) {
       opts.seconds = std::strtod(v.c_str(), nullptr);
     } else if (k == "--trace") {
       opts.trace = v == "1";
-    } else if (k == "--rate") {
-      opts.rate = std::strtod(v.c_str(), nullptr);
     } else if (k == "--dump-dir") {
       opts.dump_dir = v;
     } else {

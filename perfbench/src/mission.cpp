@@ -481,26 +481,22 @@ Result run_mission(const RunOptions& opts) {
   Result r;
   const double main_s = opts.trace ? opts.seconds / 2 : opts.seconds;
 
+  // Set-ups are timed before every window, each window on a fresh stack
+  // (see telemetry).
   std::vector<double> setups;
   std::unique_ptr<Rig> rig;
-  const int reps = opts.trace ? 1 : kLiveSetupReps;
-  for (int rep = 0; rep < reps; ++rep) {
-    rig.reset();
-    const int64_t t = now_ns();
-    rig = std::make_unique<Rig>(opts.seed, false);
-    rig->warm_up();
-    setups.push_back((now_ns() - t) * 1e-9);
-    check_outputs(*rig, r);
-  }
-  // Each window runs on a fresh stack (see telemetry).
+  const int reps = opts.trace ? 1 : kLiveSetupsPerWindow;
   auto n = [](const Samples& s) { return static_cast<int64_t>(s.size()); };
   WindowOut plain;
   Windows windows;
   for (int k = 0; k < kWindows; ++k) {
-    if (k > 0) {
+    for (int rep = 0; rep < reps; ++rep) {
       rig.reset();
+      const int64_t t = now_ns();
       rig = std::make_unique<Rig>(opts.seed, false);
       rig->warm_up();
+      setups.push_back((now_ns() - t) * 1e-9);
+      check_outputs(*rig, r);
     }
     WindowOut w = run_window(*rig, main_s / kWindows, false);
     check_outputs(*rig, r);
@@ -574,10 +570,6 @@ Result run_mission(const RunOptions& opts) {
   v.encode_ns = codec.encode_ns;
   v.decode_ns = codec.decode_ns;
   v.frame_seal_ns = probe_frame_seal_ns(codec.encoded_bytes + 40);
-  v.mftp_wire_bytes_per_file_byte =
-      ratio(static_cast<double>(tw.delta.mftp_wire_bytes),
-            static_cast<double>(tw.images * kImageBytes));
-  v.chunk_table_build_ms = probe_chunk_table_ms(BytesView(image), kChunk, util::Codec::kLz);
   v.heap_allocs_per_msg = tw.allocs_per_msg;
   v.oneway_p50_us = probe_oneway_p50_us(transport::TransportBackend::kEpoll,
                                         codec.encoded_bytes + 40, kEventHz,
@@ -588,6 +580,16 @@ Result run_mission(const RunOptions& opts) {
   v.late_n = n(tw.late_ns);
   v.steal_pct = tw.steal_pct;
   emit_layers(r, v);
+  // Only this workload moves the MFTP metrics, so BENCHMARK.json (which
+  // lists the gated workloads' metrics) leaves them out.
+  r.layer("protocol.mftp_wire_bytes_per_file_byte",
+          ratio(static_cast<double>(tw.delta.mftp_wire_bytes),
+                static_cast<double>(tw.images * kImageBytes)),
+          "ratio");
+  r.layer("protocol.mftp_chunk_retransmits",
+          static_cast<double>(tw.delta.mftp_chunk_retransmits), "count");
+  r.layer("protocol.chunk_table_build_ms",
+          probe_chunk_table_ms(BytesView(image), kChunk, util::Codec::kLz), "ms");
   return r;
 }
 

@@ -48,7 +48,7 @@ constexpr int kSubscribers = 3;
 // Aggregate samples/s (x3 deliveries/s): about half the rate at which p50
 // leaves its plateau and samples start to drop on a 4-vCPU host; see
 // README "Sizing telemetry".
-constexpr double kDefaultRate = 10000;
+constexpr double kRate = 10000;
 
 uint32_t checksum_of(const Sample& s) {
   uint8_t buf[64];
@@ -219,9 +219,9 @@ struct WindowOut {
   LiveStack::Counters delta;
 };
 
-// Runs the open loop on a warmed rig for `seconds` at `rate` samples/s.
-WindowOut run_window(Rig& rig, double rate, double seconds, bool traced) {
-  const size_t n = static_cast<size_t>(rate * seconds);
+// Runs the open loop on a warmed rig for `seconds` at kRate samples/s.
+WindowOut run_window(Rig& rig, double seconds, bool traced) {
+  const size_t n = static_cast<size_t>(kRate * seconds);
   LiveNode& pub_node = rig.stack->node(0);
   if (traced) pub_node.spans.enable(n * 3);
   // Subscriber state is set up on the subscriber's own executor: its
@@ -244,7 +244,7 @@ WindowOut run_window(Rig& rig, double rate, double seconds, bool traced) {
   for (uint32_t v = kVars - 1; v > 0; --v) {
     std::swap(perm[v], perm[order_rng.uniform(0, v)]);
   }
-  const int64_t gap = static_cast<int64_t>(1e9 / rate);
+  const int64_t gap = static_cast<int64_t>(1e9 / kRate);
   std::vector<Sample> samples(n);
   std::vector<int64_t> due(n);
   for (size_t i = 0; i < n; ++i) {
@@ -341,35 +341,29 @@ void check_outputs(Rig& rig, Result& r) {
 
 Result run_telemetry(const RunOptions& opts) {
   Result r;
-  const double rate = opts.rate > 0 ? opts.rate : kDefaultRate;
   const double main_s = opts.trace ? opts.seconds / 2 : opts.seconds;
 
   // Set-up: construct, bind, discover and deliver the first sample of
-  // every variable to every subscriber. Timed several times; the last
-  // rig carries the untraced measurement.
+  // every variable to every subscriber. Each window runs on a fresh
+  // stack, so one stack's thread placement or ring state cannot bias the
+  // whole run; the set-ups are timed before every window, so their
+  // median samples the host across the run, and the last one carries
+  // the window.
   std::vector<double> setups;
   std::unique_ptr<Rig> rig;
-  const int reps = opts.trace ? 1 : kLiveSetupReps;
-  for (int rep = 0; rep < reps; ++rep) {
-    rig.reset();
-    const int64_t t = now_ns();
-    rig = std::make_unique<Rig>(opts.seed, false);
-    rig->warm_up();
-    setups.push_back((now_ns() - t) * 1e-9);
-    check_outputs(*rig, r);
-  }
-
-  // Each window runs on a fresh stack, so one stack's thread placement or
-  // ring state cannot bias the whole run either.
+  const int reps = opts.trace ? 1 : kLiveSetupsPerWindow;
   WindowOut plain;
   Windows windows;
   for (int k = 0; k < kWindows; ++k) {
-    if (k > 0) {
+    for (int rep = 0; rep < reps; ++rep) {
       rig.reset();
+      const int64_t t = now_ns();
       rig = std::make_unique<Rig>(opts.seed, false);
       rig->warm_up();
+      setups.push_back((now_ns() - t) * 1e-9);
+      check_outputs(*rig, r);
     }
-    WindowOut w = run_window(*rig, rate, main_s / kWindows, false);
+    WindowOut w = run_window(*rig, main_s / kWindows, false);
     rig->stack->shutdown();
     check_outputs(*rig, r);
     Samples lat;
@@ -397,7 +391,7 @@ Result run_telemetry(const RunOptions& opts) {
   r.detail("peak_rss_mb", peak_rss_mb(), "MiB");
   r.detail("var_p50_us", plain.latency_ns.pct(0.50) * 1e-3, "us", n_lat);
   r.detail("var_p99_us", plain.latency_ns.pct(0.99) * 1e-3, "us", n_lat);
-  r.detail("offered_rate", rate, "samples/s");
+  r.detail("offered_rate", kRate, "samples/s");
   r.detail("deliveries", static_cast<double>(plain.delivered), "count");
   r.detail("gen.late_p99_us", late_p99, "us",
            static_cast<int64_t>(plain.late_ns.size()));
@@ -412,7 +406,7 @@ Result run_telemetry(const RunOptions& opts) {
   // and span recording, same offered load.
   auto traced = std::make_unique<Rig>(opts.seed + 1, true);
   traced->warm_up();
-  WindowOut tw = run_window(*traced, rate, opts.seconds - main_s, true);
+  WindowOut tw = run_window(*traced, opts.seconds - main_s, true);
   traced->stack->shutdown();
   check_outputs(*traced, r);
   r.attempted += tw.expected;
@@ -444,7 +438,7 @@ Result run_telemetry(const RunOptions& opts) {
   v.frame_seal_ns = probe_frame_seal_ns(codec.encoded_bytes + 16);
   v.heap_allocs_per_msg = tw.allocs_per_msg;
   v.oneway_p50_us = probe_oneway_p50_us(transport::TransportBackend::kUring,
-                                        codec.encoded_bytes + 24, rate,
+                                        codec.encoded_bytes + 24, kRate,
                                         kSubscribers, 1.0, &v.oneway_n);
   v.trace_overhead_pct =
       100.0 * ratio(tw.cpu_us_per_msg - plain.cpu_us_per_msg, plain.cpu_us_per_msg);

@@ -15,7 +15,6 @@ struct RunOptions {
   uint64_t seed = 1;
   double seconds = 10;
   bool trace = false;
-  double rate = 0;       // telemetry samples/s override (rate ladder); 0 = default
   std::string dump_dir;  // where traced runs write their span dump
 };
 
@@ -23,30 +22,33 @@ Result run_telemetry(const RunOptions& opts);
 Result run_mission(const RunOptions& opts);
 Result run_fleet_sim(const RunOptions& opts);
 
-// Number of set-ups each live run times; setup_s reports their median.
-constexpr int kLiveSetupReps = 25;
+// Set-ups each untraced live run times before every window; setup_s
+// reports the median of all of them.
+constexpr int kLiveSetupsPerWindow = 5;
 
 // Median of a small vector (copied).
 double median_of(std::vector<double> v);
 
-// Every run measures kWindows consecutive windows and gates on the least
-// disturbed one: interference from the host (steal, noisy neighbours)
-// only ever adds time, so the minimum over the windows follows the code
-// rather than the host.
-constexpr int kWindows = 4;
+// Every run measures kWindows consecutive windows and gates on the median
+// window: a burst of host interference (steal, noisy neighbours) that
+// inflates one or two windows leaves the median on the program's typical
+// behaviour, and a change in the code moves every window.
+constexpr int kWindows = 5;
 
 struct Windows {
   std::vector<double> p50_us, cpu_us_per_msg;
   std::vector<int64_t> p50_n, deliveries;
 
   void add(double p50, int64_t n, double cpu, int64_t delivered);
-  // The gated p50_us and cpu_us_per_msg (minimum over windows), plus one
-  // printed line per window under `what` (e.g. "var_p50_us").
+  // The gated p50_us and cpu_us_per_msg (median over windows), plus one
+  // printed line per window under `what` (e.g. "var_p50_us"). A window
+  // that delivered nothing fails the run's output check.
   void report(Result& r, const std::string& what) const;
 };
 
 // Every per-layer metric, in the order BENCHMARK.json lists them. A layer
 // a workload does not touch reads 0 (e.g. sim.* on the live workloads).
+// The MFTP metrics only `mission` can move are added by mission itself.
 struct LayerValues {
   double queue_wait_p50_us = 0, queue_wait_p99_us = 0;
   int64_t queue_wait_n = -1;
@@ -58,8 +60,6 @@ struct LayerValues {
   double control_frames_per_s = 0, frames_dropped = 0, frames_send_failed = 0;
   double encode_ns = 0, decode_ns = 0, frame_seal_ns = 0;
   double arq_frames_per_event = 0, arq_retransmits_per_kevent = 0;
-  double mftp_wire_bytes_per_file_byte = 0, mftp_chunk_retransmits = 0;
-  double chunk_table_build_ms = 0;
   double heap_allocs_per_msg = 0, frame_pool_hit_ratio = 0;
   double frames_sent_per_msg = 0, bytes_sent_per_msg = 0;
   double frames_per_recv_batch = 0, uring_cqe_per_frame = 0;
