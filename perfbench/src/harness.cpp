@@ -67,12 +67,9 @@ double thread_cpu_s() {
 }
 
 double process_cpu_s() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  auto sec = [](const timeval& tv) {
-    return static_cast<double>(tv.tv_sec) + tv.tv_usec * 1e-6;
-  };
-  return sec(ru.ru_utime) + sec(ru.ru_stime);
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
 }
 
 double peak_rss_mb() {

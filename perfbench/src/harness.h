@@ -21,7 +21,9 @@ namespace marea::perfbench {
 int64_t now_ns();
 // Sleeps until the absolute steady-clock instant `t_ns`.
 void sleep_until_ns(int64_t t_ns);
-// Calling thread's CPU time / whole-process user+sys CPU time.
+// Calling thread's CPU time / whole-process user+sys CPU time (the
+// total getrusage reports, read at nanosecond resolution from
+// CLOCK_PROCESS_CPUTIME_ID).
 double thread_cpu_s();
 double process_cpu_s();
 // Peak resident set size of the process, MiB.

@@ -1,7 +1,12 @@
 #include "live.h"
 
+#include <dirent.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <future>
 #include <stdexcept>
 #include <thread>
@@ -99,6 +104,34 @@ Status CountingTransport::send_frame_to_many(uint16_t src_port,
 
 // --- nodes and stack ------------------------------------------------------------
 
+int raise_receive_buffers() {
+  DIR* dir = opendir("/proc/self/fd");
+  if (dir == nullptr) return 0;
+  int smallest = 0;
+  const int dir_fd = dirfd(dir);
+  while (const dirent* e = readdir(dir)) {
+    char* end = nullptr;
+    const long fd = std::strtol(e->d_name, &end, 10);
+    if (end == e->d_name || *end != '\0' || fd == dir_fd) continue;
+    struct stat st;
+    int type = 0;
+    socklen_t len = sizeof type;
+    if (fstat(static_cast<int>(fd), &st) != 0 || !S_ISSOCK(st.st_mode) ||
+        getsockopt(static_cast<int>(fd), SOL_SOCKET, SO_TYPE, &type, &len) != 0 ||
+        type != SOCK_DGRAM) {
+      continue;
+    }
+    int want = kReceiveBufferBytes;
+    setsockopt(static_cast<int>(fd), SOL_SOCKET, SO_RCVBUF, &want, sizeof want);
+    int got = 0;
+    len = sizeof got;
+    getsockopt(static_cast<int>(fd), SOL_SOCKET, SO_RCVBUF, &got, &len);
+    if (smallest == 0 || got < smallest) smallest = got;
+  }
+  closedir(dir);
+  return smallest;
+}
+
 void LiveNode::run_sync(std::function<void()> fn) {
   std::promise<void> done;
   std::future<void> f = done.get_future();
@@ -156,6 +189,7 @@ LiveStack::LiveStack(std::vector<ServiceList> services,
     n->run_sync([&] { ok = n->container->start().is_ok(); });
     if (!ok) throw std::runtime_error("container start failed");
   }
+  receive_buffer_bytes_ = raise_receive_buffers();
 }
 
 LiveStack::~LiveStack() {

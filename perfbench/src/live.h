@@ -99,6 +99,24 @@ struct LiveNode {
   void run_sync(std::function<void()> fn);
 };
 
+// Socket receive buffer the benchmark asks for on every datagram socket
+// of the process (the kernel caps it at net.core.rmem_max and doubles it
+// for bookkeeping). The transport leaves SO_RCVBUF at the kernel default
+// (212992 B on common Linux kernels), which holds about 16 ms of
+// telemetry at 10000 samples/s: a subscriber the host stalls for longer
+// drops datagrams. Doubled, 1 MiB holds about 160 ms, well inside the
+// 350 ms a container waits before it declares a silent peer lost, so the
+// backlog alone cannot delay a heartbeat past that. Raising it is the
+// deployment tuning an operator applies with net.core.rmem_default; see
+// README "Socket receive buffers".
+constexpr int kReceiveBufferBytes = 1 << 20;
+
+// Raises SO_RCVBUF on every open datagram socket of the process to
+// kReceiveBufferBytes (found through /proc/self/fd; the transport does
+// not expose its sockets) and returns the smallest effective size the
+// kernel reports, 0 when there was none.
+int raise_receive_buffers();
+
 struct StackOptions {
   transport::TransportBackend backend = transport::TransportBackend::kEpoll;
   bool traced = false;  // observability + counting transport + spans
@@ -142,6 +160,10 @@ class LiveStack {
   };
   Counters counters();
 
+  // Smallest effective SO_RCVBUF over the process's datagram sockets
+  // once the stack was up.
+  int receive_buffer_bytes() const { return receive_buffer_bytes_; }
+
   // Stops every container and quiesces the stack (also run by the dtor);
   // services stay alive so their results can be read afterwards.
   void shutdown();
@@ -150,6 +172,7 @@ class LiveStack {
   std::vector<std::unique_ptr<LiveNode>> nodes_;
   bool traced_ = false;
   bool down_ = false;
+  int receive_buffer_bytes_ = 0;
 };
 
 // Open-loop generator: runs `fire(i)` for every entry of `due_ns` (sorted

@@ -47,6 +47,8 @@ constexpr double kImageHz = 2;
 constexpr double kEventHz = 100;
 constexpr double kRpcHz = 200;
 constexpr int kGrounds = 2;
+// Set-ups timed before every untraced window; setup_s is their median.
+constexpr int kSetupsPerWindow = 5;
 const char* const kImage = "mission.image";
 const char* const kEvent = "mission.detection";
 const char* const kTrack = "camera.track";
@@ -485,7 +487,7 @@ Result run_mission(const RunOptions& opts) {
   // (see telemetry).
   std::vector<double> setups;
   std::unique_ptr<Rig> rig;
-  const int reps = opts.trace ? 1 : kLiveSetupsPerWindow;
+  const int reps = opts.trace ? 1 : kSetupsPerWindow;
   auto n = [](const Samples& s) { return static_cast<int64_t>(s.size()); };
   WindowOut plain;
   Windows windows;

@@ -49,6 +49,10 @@ constexpr int kSubscribers = 3;
 // leaves its plateau and samples start to drop on a 4-vCPU host; see
 // README "Sizing telemetry".
 constexpr double kRate = 10000;
+// Set-ups timed before every untraced window; setup_s is the median of
+// all of them. One set-up varies by +-50% with thread wake-ups, so the
+// median needs many to settle.
+constexpr int kSetupsPerWindow = 20;
 
 uint32_t checksum_of(const Sample& s) {
   uint8_t buf[64];
@@ -351,9 +355,10 @@ Result run_telemetry(const RunOptions& opts) {
   // the window.
   std::vector<double> setups;
   std::unique_ptr<Rig> rig;
-  const int reps = opts.trace ? 1 : kLiveSetupsPerWindow;
+  const int reps = opts.trace ? 1 : kSetupsPerWindow;
   WindowOut plain;
   Windows windows;
+  int rcvbuf = 0;
   for (int k = 0; k < kWindows; ++k) {
     for (int rep = 0; rep < reps; ++rep) {
       rig.reset();
@@ -364,6 +369,7 @@ Result run_telemetry(const RunOptions& opts) {
       check_outputs(*rig, r);
     }
     WindowOut w = run_window(*rig, main_s / kWindows, false);
+    rcvbuf = rig->stack->receive_buffer_bytes();
     rig->stack->shutdown();
     check_outputs(*rig, r);
     Samples lat;
@@ -392,6 +398,7 @@ Result run_telemetry(const RunOptions& opts) {
   r.detail("var_p50_us", plain.latency_ns.pct(0.50) * 1e-3, "us", n_lat);
   r.detail("var_p99_us", plain.latency_ns.pct(0.99) * 1e-3, "us", n_lat);
   r.detail("offered_rate", kRate, "samples/s");
+  r.detail("socket_rcvbuf", rcvbuf / 1024.0, "KiB");
   r.detail("deliveries", static_cast<double>(plain.delivered), "count");
   r.detail("gen.late_p99_us", late_p99, "us",
            static_cast<int64_t>(plain.late_ns.size()));

@@ -22,10 +22,6 @@ Result run_telemetry(const RunOptions& opts);
 Result run_mission(const RunOptions& opts);
 Result run_fleet_sim(const RunOptions& opts);
 
-// Set-ups each untraced live run times before every window; setup_s
-// reports the median of all of them.
-constexpr int kLiveSetupsPerWindow = 5;
-
 // Median of a small vector (copied).
 double median_of(std::vector<double> v);
 
