@@ -37,9 +37,9 @@ ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
 echo "== TSan build + parallel-engine tests =="
 cmake -B build-tsan -S . -DMAREA_SANITIZE=TSAN >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target parallel_sim_test \
-  chaos_soak_test radio_relay_test chunk_pipeline_test
+  chaos_soak_test radio_relay_test chunk_pipeline_test gossip_steady_state_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-  -R 'ParallelSim|ChaosSoak|DataMuleScenario|ChunkPipeline'
+  -R 'ParallelSim|ChaosSoak|DataMuleScenario|ChunkPipeline|GossipSteadyState|OrphanedSubscriber'
 
 echo "== release hot-path bench (BENCH_hotpath.json) =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null

@@ -180,6 +180,7 @@ void ServiceContainer::stop() {
   transfer_names_.clear();
   for (auto& [id, peer] : peers_) retire_peer_link_stats(peer);
   peers_.clear();
+  forgotten_.clear();
   directory_ = NameDirectory{};
 
   running_ = false;
@@ -267,6 +268,9 @@ void ServiceContainer::process_frame(transport::Address from,
   switch (header->type) {
     case T::kContainerHello: {
       proto::ContainerHelloMsg msg;
+      ByteReader head = r;
+      if (!proto::ContainerHelloMsg::peek(head, msg)) break;
+      if (refresh_only(src, from, msg)) break;
       if (proto::ContainerHelloMsg::decode(r, msg)) on_hello(src, from, msg);
       break;
     }
@@ -451,8 +455,13 @@ proto::ContainerHelloMsg ServiceContainer::build_manifest() const {
 
 void ServiceContainer::announce(bool broadcast_to_all,
                                 transport::Address unicast_to) {
-  ++manifest_version_;  // receivers drop anything older they see later
   proto::ContainerHelloMsg hello = build_manifest();
+  // The version moves only with the content, so receivers drop an
+  // unchanged refresh (and anything older) after peeking its header.
+  if (manifest_version_ == 0 || hello != last_manifest_) {
+    hello.manifest_version = ++manifest_version_;
+    last_manifest_ = hello;
+  }
   if (broadcast_to_all) {
     last_announce_ = now();
     broadcast_msg(proto::MsgType::kContainerHello, hello);
@@ -514,6 +523,7 @@ void ServiceContainer::on_hello(proto::ContainerId from,
     peer.incarnation = msg.incarnation;
     peer.manifest_version = 0;
   }
+  reintroduce_if_forgotten(peer);
   // Best-effort broadcasts reorder: never let an older manifest clobber a
   // newer one within the same incarnation.
   if (msg.manifest_version <= peer.manifest_version) return;
@@ -525,6 +535,29 @@ void ServiceContainer::on_hello(proto::ContainerId from,
                           << " records now)";
   rebind_after_directory_change();
   check_function_requirements();
+}
+
+bool ServiceContainer::refresh_only(proto::ContainerId from,
+                                    transport::Address addr,
+                                    const proto::ContainerHelloMsg& head) {
+  Peer* p = peer(from);
+  if (!p || p->incarnation == 0 || head.incarnation != p->incarnation ||
+      head.manifest_version > p->manifest_version ||
+      p->address != transport::Address{addr.host, head.data_port}) {
+    return false;
+  }
+  p->last_heard = now();
+  return true;
+}
+
+void ServiceContainer::reintroduce_if_forgotten(Peer& peer) {
+  auto it = forgotten_.find(peer.id);
+  if (it == forgotten_.end()) return;
+  const bool same_life = it->second == peer.incarnation;
+  forgotten_.erase(it);
+  // A restarted peer re-subscribes on its own. The opener is a no-op
+  // control heartbeat: the new session it starts is the message.
+  if (same_life) send_control(peer.id, proto::MsgType::kHeartbeat, {});
 }
 
 void ServiceContainer::on_bye(proto::ContainerId from) {
@@ -540,6 +573,7 @@ void ServiceContainer::on_heartbeat(proto::ContainerId from,
   if (!check_peer_incarnation(from, msg.incarnation)) return;
   Peer& peer = ensure_peer(from, addr);
   if (peer.incarnation == 0) peer.incarnation = msg.incarnation;
+  reintroduce_if_forgotten(peer);
 }
 
 bool ServiceContainer::check_peer_incarnation(proto::ContainerId from,
@@ -573,21 +607,24 @@ void ServiceContainer::on_service_status(proto::ContainerId from,
 
 void ServiceContainer::heartbeat_tick() {
   if (!running_) return;
-  proto::HeartbeatMsg hb;
-  hb.incarnation = incarnation_;
-  hb.seq = ++heartbeat_seq_;
-  broadcast_msg(proto::MsgType::kHeartbeat, hb);
-
-  // Periodic manifest refresh: heals lost hello broadcasts.
+  const TimePoint t = now();
+  // Periodic manifest refresh: heals lost hello broadcasts. Every
+  // received hello refreshes the sender's liveness, so the refresh also
+  // stands in for this tick's heartbeat.
   if (config_.announce_interval.ns > 0 &&
-      now() - last_announce_ >= config_.announce_interval) {
+      t - last_announce_ >= config_.announce_interval) {
     announce(/*broadcast_to_all=*/true);
+  } else {
+    proto::HeartbeatMsg hb;
+    hb.incarnation = incarnation_;
+    hb.seq = ++heartbeat_seq_;
+    broadcast_msg(proto::MsgType::kHeartbeat, hb);
   }
 
   const Duration limit = config_.heartbeat_interval * config_.liveness_factor;
-  std::vector<proto::ContainerId> dead;
+  std::vector<proto::ContainerId> dead;  // allocates only on a death
   for (const auto& [id, peer] : peers_) {
-    if (now() - peer.last_heard > limit) dead.push_back(id);
+    if (t - peer.last_heard > limit) dead.push_back(id);
   }
   for (auto id : dead) peer_lost(id, "heartbeat silence");
 
@@ -633,6 +670,7 @@ void ServiceContainer::peer_lost(proto::ContainerId id,
   MAREA_LOG(kWarn, kLog) << qualify(config_) << " lost container " << id
                          << " (" << why << ")";
   trace_ev(obs::TraceEvent::kPeerLost, obs::TraceKind::kNode, id);
+  forgotten_[id] = it->second.incarnation;
   retire_peer_link_stats(it->second);
   peers_.erase(it);
 

@@ -338,8 +338,11 @@ class ServiceContainer {
   // which only happens after it declared us lost: its per-peer state —
   // remote-subscriber sets, queued frames — died with the old life even
   // though our own peer entry survived. Re-announce subscriptions that
-  // point at it and resync its ordered event streams.
-  void peer_link_reset(proto::ContainerId id);
+  // point at it and resync its ordered event streams. `sender_restarted`
+  // (the peer may be a re-exec'd process counting from 1 again) also
+  // resets the sample watermarks of variables bound to it; a peer that
+  // only forgot us keeps its sequences, and so do we.
+  void peer_link_reset(proto::ContainerId id, bool sender_restarted);
 
   struct FunctionProvision {
     Service* owner = nullptr;
@@ -403,6 +406,7 @@ class ServiceContainer {
     // re-discovery cycles within one incarnation (long radio outages).
     uint64_t tx_session = 0;  // stamped on every frame this tx sends
     uint64_t rx_session = 0;  // session the current rx state was built from
+    uint64_t reset_session = 0;  // rx session peer_link_reset last ran for
   };
 
   // --- wiring ---
@@ -446,6 +450,17 @@ class ServiceContainer {
   proto::ContainerHelloMsg build_manifest() const;
   void on_hello(proto::ContainerId from, transport::Address addr,
                 const proto::ContainerHelloMsg& msg);
+  // Steady-state gossip fast path, fed the peek()ed hello header: when
+  // the peer is known in the same non-zero incarnation, the version is
+  // already applied and the endpoint is unchanged, on_hello could only
+  // refresh liveness — so do just that and return true (no decode).
+  bool refresh_only(proto::ContainerId from, transport::Address addr,
+                    const proto::ContainerHelloMsg& head);
+  // Orphaned-subscriber repair: if we declared `peer` lost earlier in
+  // this same incarnation, it never noticed and still believes we hold
+  // its subscriptions. Open a fresh link session to it; the session
+  // change makes its peer_link_reset re-announce them.
+  void reintroduce_if_forgotten(Peer& peer);
   void on_bye(proto::ContainerId from);
   void on_heartbeat(proto::ContainerId from, transport::Address addr,
                     const proto::HeartbeatMsg& msg);
@@ -598,7 +613,8 @@ class ServiceContainer {
   TimePoint started_at_{};
   TimePoint last_announce_{};
   uint64_t incarnation_ = 0;  // set on first start, bumped per restart
-  uint64_t manifest_version_ = 0;  // bumped per announce
+  uint64_t manifest_version_ = 0;  // bumped when the manifest changes
+  proto::ContainerHelloMsg last_manifest_;  // last one announced
   bool announce_pending_ = false;  // coalesces same-instant manifest changes
 
   std::vector<std::unique_ptr<Service>> services_;
@@ -610,6 +626,9 @@ class ServiceContainer {
   // must survive peer_lost so the next sender life for the same peer is
   // distinguishable from the one the outage killed.
   std::map<proto::ContainerId, uint64_t> link_sessions_;
+  // Peers declared lost, with the incarnation they had (see
+  // reintroduce_if_forgotten); an entry goes when the peer is heard again.
+  std::map<proto::ContainerId, uint64_t> forgotten_;
 
   std::map<std::string, VarProvision> var_provisions_;          // by name
   std::unordered_map<uint32_t, std::string> provision_channels_;

@@ -337,12 +337,14 @@ void ServiceContainer::evict_ordered_stream(EventSubscription& sub,
   }
 }
 
-void ServiceContainer::peer_link_reset(proto::ContainerId id) {
+void ServiceContainer::peer_link_reset(proto::ContainerId id,
+                                       bool sender_restarted) {
   stats_.link_session_resets++;
   trace_ev(obs::TraceEvent::kPeerLost, obs::TraceKind::kLink, id);
   for (auto& [name, sub] : var_subs_) {
     if (sub.provider && sub.provider->container == id) {
       sub.announced = false;
+      if (!sender_restarted) continue;
       // The sender's process state died with the old link session, so
       // its sample sequences restart from 1 — under the SAME container
       // id and (for a re-exec'd process) possibly the same incarnation.

@@ -91,8 +91,15 @@ void ServiceContainer::on_reliable_data(proto::ContainerId from,
     // fresh frame below it as a "duplicate", wedging the pair forever.
     p.rx.reset();
     // The peer's old life also dropped us from its subscriber sets and
-    // lost whatever it had queued; re-announce and resync streams.
-    peer_link_reset(from);
+    // lost whatever it had queued; re-announce and resync streams. A
+    // session opened by its link opener comes from a peer that lived
+    // through the outage; anything else may be a re-exec'd process.
+    const BytesView inner = as_bytes_view(msg.inner);
+    const bool opener =
+        msg.inner_type == proto::InnerType::kControl && !inner.empty() &&
+        inner[0] == static_cast<uint8_t>(proto::MsgType::kHeartbeat);
+    p.reset_session = msg.session;
+    peer_link_reset(from, /*sender_restarted=*/!opener);
   }
   if (!p.rx) {
     p.rx_session = msg.session;
@@ -171,6 +178,19 @@ void ServiceContainer::on_control(proto::ContainerId from,
                                   proto::MsgType type, ByteReader& r) {
   using T = proto::MsgType;
   switch (type) {
+    case T::kHeartbeat: {
+      // Opens the link session of a peer that had declared us lost
+      // (reintroduce_if_forgotten). A session change already ran
+      // peer_link_reset in on_reliable_data; when this is the first
+      // session we see from the peer, nothing has, yet it still forgot
+      // whatever we had subscribed to with it.
+      Peer* p = peer(from);
+      if (p && p->reset_session != p->rx_session) {
+        p->reset_session = p->rx_session;
+        peer_link_reset(from, /*sender_restarted=*/false);
+      }
+      break;
+    }
     case T::kVarSubscribe: {
       proto::VarSubscribeMsg msg;
       if (proto::VarSubscribeMsg::decode(r, msg)) on_var_subscribe(from, msg);

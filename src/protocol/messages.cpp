@@ -92,10 +92,15 @@ void ContainerHelloMsg::encode(ByteWriter& w) const {
   for (const auto& s : services) s.encode(w);
 }
 
-bool ContainerHelloMsg::decode(ByteReader& r, ContainerHelloMsg& out) {
+bool ContainerHelloMsg::peek(ByteReader& r, ContainerHelloMsg& out) {
   out.incarnation = r.varint();
   out.manifest_version = r.varint();
   out.data_port = r.u16();
+  return r.ok();
+}
+
+bool ContainerHelloMsg::decode(ByteReader& r, ContainerHelloMsg& out) {
+  if (!peek(r, out)) return false;
   out.node_name = r.str();
   uint64_t n = r.varint();
   if (!r.ok() || n > kMaxServices) return false;

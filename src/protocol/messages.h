@@ -59,11 +59,16 @@ struct ServiceInfo {
   friend bool operator==(const ServiceInfo&, const ServiceInfo&) = default;
 };
 
-// Broadcast on join and on any manifest change; also the reply to a probe.
+// Broadcast on join, on any manifest change and once per announce period
+// (the refresh, which also stands in for that period's heartbeat); sent
+// unicast to a newly discovered peer.
 struct ContainerHelloMsg {
   uint64_t incarnation = 0;  // increases across restarts
-  // Monotonic within an incarnation: receivers drop reordered stale
-  // manifests (best-effort broadcasts may arrive out of order).
+  // Changes only when the content changes (services, their states and
+  // items, data_port, node_name), and only grows within an incarnation.
+  // Receivers apply a hello only when its version is newer than the one
+  // they hold, so a reordered stale manifest and an unchanged refresh are
+  // both dropped after peek() — the refresh still proves liveness.
   uint64_t manifest_version = 0;
   uint16_t data_port = 0;    // where this container receives everything
   std::string node_name;
@@ -71,6 +76,12 @@ struct ContainerHelloMsg {
 
   void encode(ByteWriter& w) const;
   static bool decode(ByteReader& r, ContainerHelloMsg& out);
+  // Reads only the leading incarnation, manifest_version and data_port
+  // (decode() starts with the same call), leaving the manifest body
+  // unread: enough to tell whether the rest can change anything.
+  static bool peek(ByteReader& r, ContainerHelloMsg& out);
+  friend bool operator==(const ContainerHelloMsg&,
+                         const ContainerHelloMsg&) = default;
 };
 
 struct ContainerByeMsg {

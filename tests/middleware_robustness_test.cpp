@@ -412,5 +412,91 @@ TEST(RobustnessTest, StaleReorderedHelloCannotRegressDirectory) {
                   .has_value());
 }
 
+TEST(RobustnessTest, HelloPeekFallsBackToFullPathOnAnyNews) {
+  // A hello whose peeked header matches the peer record (same incarnation,
+  // version already applied, same endpoint) only refreshes liveness; every
+  // other hello must take the full decode path and do what it always did.
+  set_log_level(LogLevel::kError);
+  SimDomain domain(89);
+  auto& a = domain.add_node("a");
+  (void)domain.add_node("b");
+  domain.start_all();
+  domain.run_for(milliseconds(300));
+
+  const transport::HostId fake_host = domain.node_id(1);
+  auto hello = [](uint64_t incarnation, uint64_t version, uint16_t port,
+                  const std::string& item) {
+    proto::ContainerHelloMsg msg;
+    msg.incarnation = incarnation;
+    msg.manifest_version = version;
+    msg.data_port = port;
+    msg.node_name = "fake";
+    proto::ServiceInfo svc;
+    svc.name = "svc";
+    svc.state = proto::ServiceState::kRunning;
+    svc.items.push_back(
+        proto::ProvidedItem{proto::ItemKind::kVariable, item, 1, 0, 0});
+    msg.services.push_back(svc);
+    return msg;
+  };
+  auto inject = [&](const proto::ContainerHelloMsg& msg) {
+    Buffer frame =
+        proto::make_frame(proto::MsgType::kContainerHello, 42, msg);
+    (void)domain.network().send(
+        sim::Endpoint{domain.node_id(1), 4500},
+        sim::Endpoint{domain.node_id(0), a.config().data_port},
+        as_bytes_view(frame));
+    domain.run_for(milliseconds(20));
+  };
+  auto has = [&](const std::string& item) {
+    return a.directory().provides(42, proto::ItemKind::kVariable, item);
+  };
+  auto invalidations = [&] { return a.directory().stats().invalidations; };
+  auto has_address = [&](uint16_t port) {
+    for (const auto& addr : a.known_peer_addresses()) {
+      if (addr == transport::Address{fake_host, port}) return true;
+    }
+    return false;
+  };
+
+  // Unknown peer: full path.
+  inject(hello(1, 3, 4700, "x.one"));
+  EXPECT_TRUE(has("x.one"));
+  EXPECT_TRUE(has_address(4700));
+
+  // Unchanged refresh: header only, the directory is not rebuilt.
+  uint64_t before = invalidations();
+  inject(hello(1, 3, 4700, "x.one"));
+  EXPECT_EQ(invalidations(), before);
+  EXPECT_TRUE(has("x.one"));
+
+  // Newer version: full path, the manifest replaces the old one.
+  inject(hello(1, 4, 4700, "x.two"));
+  EXPECT_TRUE(has("x.two"));
+  EXPECT_FALSE(has("x.one"));
+
+  // Moved endpoint at an applied version: full path, which takes the
+  // new endpoint but keeps the applied manifest.
+  before = invalidations();
+  inject(hello(1, 4, 4600, "x.moved"));
+  EXPECT_TRUE(has_address(4600));
+  EXPECT_FALSE(has_address(4700));
+  EXPECT_TRUE(has("x.two"));
+  EXPECT_FALSE(has("x.moved"));
+  EXPECT_EQ(invalidations(), before);
+
+  // Newer incarnation at a lower version: full path, fresh horizon.
+  inject(hello(2, 1, 4600, "x.reborn"));
+  EXPECT_TRUE(has("x.reborn"));
+  EXPECT_FALSE(has("x.two"));
+
+  // Stale incarnation, even at a higher version: dropped.
+  before = invalidations();
+  inject(hello(1, 9, 4600, "x.stale"));
+  EXPECT_FALSE(has("x.stale"));
+  EXPECT_TRUE(has("x.reborn"));
+  EXPECT_EQ(invalidations(), before);
+}
+
 }  // namespace
 }  // namespace marea::mw

@@ -357,6 +357,19 @@ class LiveBackendTest : public ::testing::TestWithParam<const char*> {
       return nullptr;
     }
   }
+
+  // The epoll and uring legs may run concurrently (ctest -j), so no test
+  // binds a fixed port: unicast binds ask for port 0 and use the port the
+  // kernel picked. Multicast groups map to fixed canonical ports, so each
+  // leg uses its own group ids.
+  static uint16_t bind_ephemeral(LiveTransport& t,
+                                 Transport::RecvHandler handler) {
+    if (!t.bind(0, std::move(handler)).is_ok()) return 0;
+    return t.bound_port(0);
+  }
+  GroupId leg_group(GroupId base) const {
+    return std::string_view(GetParam()) == "uring" ? base + 100 : base;
+  }
 };
 
 INSTANTIATE_TEST_SUITE_P(Backends, LiveBackendTest,
@@ -372,14 +385,14 @@ TEST_P(LiveBackendTest, LoopbackSendReceive) {
   EXPECT_STREQ(t1->backend(), GetParam());
 
   std::atomic<int> got{0};
-  Status s = t2->bind(9100, [&](Address, BytesView data) {
+  const uint16_t port = bind_ephemeral(*t2, [&](Address, BytesView data) {
     if (data.size() == 3) got.fetch_add(1);
   });
-  if (!s.is_ok()) GTEST_SKIP() << "bind failed: " << s.to_string();
+  if (port == 0) GTEST_SKIP() << "bind failed";
 
   Buffer payload = {1, 2, 3};
   for (int i = 0; i < 5 && got.load() == 0; ++i) {
-    (void)t1->send(9100, Address{ipv4_host("127.0.0.2"), 9100},
+    (void)t1->send(port, Address{ipv4_host("127.0.0.2"), port},
                    as_bytes_view(payload));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
@@ -421,13 +434,15 @@ TEST_P(LiveBackendTest, MulticastPortCollisionRejected) {
   auto t = make_live("127.0.0.1");
   if (!t) GTEST_SKIP() << "UDP sockets unavailable in this environment";
 
-  // Direction 1: the canonical port of group 700 is already bound as a
+  // Direction 1: the canonical port of the group is already bound as a
   // plain unicast port -> joining the group must be rejected, not masked
   // by SO_REUSEPORT.
-  ASSERT_TRUE(t->bind(9200, [](Address, BytesView) {}).is_ok());
-  Status s = t->bind(multicast_port(700), [](Address, BytesView) {});
+  const GroupId g1 = leg_group(700);
+  const uint16_t port = bind_ephemeral(*t, [](Address, BytesView) {});
+  ASSERT_NE(port, 0);
+  Status s = t->bind(multicast_port(g1), [](Address, BytesView) {});
   if (!s.is_ok()) GTEST_SKIP() << "bind failed: " << s.to_string();
-  Status join = t->join_group(700, 9200);
+  Status join = t->join_group(g1, port);
   EXPECT_FALSE(join.is_ok());
   EXPECT_TRUE(join.to_string().find("collides") != std::string::npos)
       << join.to_string();
@@ -436,10 +451,12 @@ TEST_P(LiveBackendTest, MulticastPortCollisionRejected) {
   // unicast port must be rejected.
   auto t2 = make_live("127.0.0.2");
   if (!t2) GTEST_SKIP() << "UDP sockets unavailable";
-  ASSERT_TRUE(t2->bind(9300, [](Address, BytesView) {}).is_ok());
-  Status join2 = t2->join_group(701, 9300);
+  const GroupId g2 = leg_group(701);
+  const uint16_t port2 = bind_ephemeral(*t2, [](Address, BytesView) {});
+  ASSERT_NE(port2, 0);
+  Status join2 = t2->join_group(g2, port2);
   if (!join2.is_ok()) GTEST_SKIP() << "join failed: " << join2.to_string();
-  Status bind2 = t2->bind(multicast_port(701), [](Address, BytesView) {});
+  Status bind2 = t2->bind(multicast_port(g2), [](Address, BytesView) {});
   EXPECT_FALSE(bind2.is_ok());
   EXPECT_TRUE(bind2.to_string().find("collides") != std::string::npos)
       << bind2.to_string();
@@ -460,16 +477,16 @@ TEST_P(LiveBackendTest, TruncatedDatagramDroppedWithCounterAndTrace) {
 
   std::atomic<int> delivered{0};
   std::atomic<size_t> last_size{0};
-  Status s = rx->bind(9900, [&](Address, BytesView data) {
+  const uint16_t port = bind_ephemeral(*rx, [&](Address, BytesView data) {
     delivered.fetch_add(1);
     last_size.store(data.size());
   });
-  if (!s.is_ok()) GTEST_SKIP() << "bind failed: " << s.to_string();
+  if (port == 0) GTEST_SKIP() << "bind failed";
 
-  Address dst{ipv4_host("127.0.0.2"), 9900};
+  Address dst{ipv4_host("127.0.0.2"), port};
   Buffer big(1000, 0x5A);
   for (int i = 0; i < 5 && rx->net_counters().drops_truncated == 0; ++i) {
-    (void)tx->send(9900, dst, as_bytes_view(big));
+    (void)tx->send(port, dst, as_bytes_view(big));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   EXPECT_GE(rx->net_counters().drops_truncated, 1u);
@@ -478,7 +495,7 @@ TEST_P(LiveBackendTest, TruncatedDatagramDroppedWithCounterAndTrace) {
   // A fitting datagram still flows afterwards (the batch slot recovered).
   Buffer small_payload(100, 0x11);
   for (int i = 0; i < 5 && delivered.load() == 0; ++i) {
-    (void)tx->send(9900, dst, as_bytes_view(small_payload));
+    (void)tx->send(port, dst, as_bytes_view(small_payload));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   EXPECT_GT(delivered.load(), 0);
@@ -507,18 +524,20 @@ TEST_P(LiveBackendTest, BroadcastReachesPeersNotSelf) {
   HostId h3 = ipv4_host("127.0.0.3");
   t1->set_peers({h1, h2, h3});  // includes self: must be skipped
 
+  // Broadcast addresses one port on every host: the kernel picks it for
+  // t2, and the other two hosts bind the same number.
   std::atomic<int> self_got{0}, got2{0}, got3{0};
-  Status s1 = t1->bind(9210, [&](Address, BytesView) { self_got++; });
-  Status s2 = t2->bind(9210, [&](Address, BytesView) { got2++; });
-  Status s3 = t3->bind(9210, [&](Address, BytesView) { got3++; });
-  if (!s1.is_ok() || !s2.is_ok() || !s3.is_ok()) {
-    GTEST_SKIP() << "bind failed";
-  }
+  const uint16_t port =
+      bind_ephemeral(*t2, [&](Address, BytesView) { got2++; });
+  if (port == 0) GTEST_SKIP() << "bind failed";
+  Status s1 = t1->bind(port, [&](Address, BytesView) { self_got++; });
+  Status s3 = t3->bind(port, [&](Address, BytesView) { got3++; });
+  if (!s1.is_ok() || !s3.is_ok()) GTEST_SKIP() << "bind failed";
 
-  Buffer payload = tagged_payload(9210);
+  Buffer payload = tagged_payload(port);
   for (int i = 0; i < 10 && (got2.load() == 0 || got3.load() == 0); ++i) {
     ASSERT_TRUE(
-        t1->send_broadcast(9210, 9210, as_bytes_view(payload)).is_ok());
+        t1->send_broadcast(port, port, as_bytes_view(payload)).is_ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
   }
   EXPECT_GT(got2.load(), 0);
@@ -533,19 +552,23 @@ TEST_P(LiveBackendTest, MulticastOwnLoopbackCopyFiltered) {
   if (!t1 || !t2) GTEST_SKIP() << "UDP sockets unavailable";
 
   std::atomic<int> got1{0}, got2{0};
-  Status s1 = t1->bind(9220, [&](Address, BytesView) { got1++; });
-  Status s2 = t2->bind(9220, [&](Address, BytesView) { got2++; });
-  if (!s1.is_ok() || !s2.is_ok()) GTEST_SKIP() << "bind failed";
-  Status j1 = t1->join_group(930, 9220);
-  Status j2 = t2->join_group(930, 9220);
+  const uint16_t port =
+      bind_ephemeral(*t1, [&](Address, BytesView) { got1++; });
+  if (port == 0) GTEST_SKIP() << "bind failed";
+  Status s2 = t2->bind(port, [&](Address, BytesView) { got2++; });
+  if (!s2.is_ok()) GTEST_SKIP() << "bind failed";
+  const GroupId group = leg_group(930);
+  Status j1 = t1->join_group(group, port);
+  Status j2 = t2->join_group(group, port);
   if (!j1.is_ok() || !j2.is_ok()) {
     GTEST_SKIP() << "multicast unavailable: " << j1.to_string() << " / "
                  << j2.to_string();
   }
 
-  Buffer payload = tagged_payload(multicast_port(930));
+  Buffer payload = tagged_payload(multicast_port(group));
   for (int i = 0; i < 10 && got2.load() == 0; ++i) {
-    ASSERT_TRUE(t1->send_multicast(9220, 930, as_bytes_view(payload)).is_ok());
+    ASSERT_TRUE(
+        t1->send_multicast(port, group, as_bytes_view(payload)).is_ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
   }
   if (got2.load() == 0) GTEST_SKIP() << "no multicast traffic on loopback";
@@ -561,22 +584,23 @@ TEST_P(LiveBackendTest, FrameBindDeliversRetainablePooledFrame) {
   std::mutex mu;
   SharedFrame kept;
   std::atomic<int> got{0};
-  Status s = rx->bind_frames(9230, [&](Address, SharedFrame frame) {
+  Status s = rx->bind_frames(0, [&](Address, SharedFrame frame) {
     std::lock_guard lock(mu);
     kept = std::move(frame);  // retained past the callback, no copy
     got.fetch_add(1);
   });
   if (!s.is_ok()) GTEST_SKIP() << "bind failed: " << s.to_string();
+  const uint16_t port = rx->bound_port(0);
 
   // Build the outgoing frame in the sender's pool and fan it out.
   FrameLease lease = tx->frame_pool().acquire(64);
   Buffer& buf = lease.buffer();
-  Buffer payload = tagged_payload(9230, 48);
+  Buffer payload = tagged_payload(port, 48);
   buf.assign(payload.begin(), payload.end());
   SharedFrame out = std::move(lease).freeze();
   for (int i = 0; i < 5 && got.load() == 0; ++i) {
     ASSERT_TRUE(
-        tx->send_frame(9230, Address{ipv4_host("127.0.0.2"), 9230}, out)
+        tx->send_frame(port, Address{ipv4_host("127.0.0.2"), port}, out)
             .is_ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
@@ -586,7 +610,7 @@ TEST_P(LiveBackendTest, FrameBindDeliversRetainablePooledFrame) {
   ASSERT_EQ(kept.size(), payload.size());
   EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
                          kept.view().begin()));
-  EXPECT_EQ(tag_of(kept.view()), 9230);
+  EXPECT_EQ(tag_of(kept.view()), port);
   // The whole receive path moved pooled slabs around: zero user-space
   // payload copies.
   EXPECT_EQ(rx->net_counters().payload_bytes_copied, 0u);
@@ -617,9 +641,19 @@ TEST_P(LiveBackendTest, ConcurrentSendersAndBindChurnNoMisroute) {
     };
   };
 
-  constexpr uint16_t kStable = 9240;
-  constexpr uint16_t kChurnA = 9241;
-  constexpr uint16_t kChurnB = 9242;
+  // Ports the kernel picked once; the handlers check tags against them,
+  // so they are then bound by number.
+  auto pick_port = [&] {
+    const uint16_t port = bind_ephemeral(*rx, [](Address, BytesView) {});
+    if (port != 0) rx->unbind(port);
+    return port;
+  };
+  const uint16_t kStable = pick_port();
+  const uint16_t kChurnA = pick_port();
+  const uint16_t kChurnB = pick_port();
+  if (kStable == 0 || kChurnA == 0 || kChurnB == 0) {
+    GTEST_SKIP() << "bind failed";
+  }
   Status s = rx->bind(kStable, checker(kStable, stable_got));
   if (!s.is_ok()) GTEST_SKIP() << "bind failed: " << s.to_string();
 
