@@ -2,11 +2,12 @@
 # Tier-1 gate: a plain build+test pass, the same suite under
 # AddressSanitizer + UBSan (-DMAREA_SANITIZE=ON), and the
 # thread-exercising tests under ThreadSanitizer (-DMAREA_SANITIZE=TSAN —
-# the sharded simulation engine runs shard windows on a worker pool, so
-# TSan is the cheapest way to catch cross-shard data races). The chaos
-# soak drives the middleware through loss bursts, partitions, and
-# crash/restart cycles, so a sanitized run of the suite is the cheapest
-# way to catch lifetime bugs in the recovery paths. Finally the Release
+# the sharded simulation engine runs shard windows on a worker pool, and
+# the live stack runs dispatch threads beside executor workers, so TSan
+# is the cheapest way to catch cross-shard and dispatch/executor
+# races). The chaos soak drives the middleware through loss bursts,
+# partitions, and crash/restart cycles, so a sanitized run of the suite
+# is the cheapest way to catch lifetime bugs in the recovery paths. Finally the Release
 # benches run — bench_hotpath (sim datapath), bench_live (kernel
 # datapath), bench_fleet (sharded engine scaling), bench_scenario_matrix
 # (seeded missions over the mobility-driven radio model),
@@ -34,12 +35,13 @@ cmake -B build-asan -S . -DMAREA_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$(nproc)"
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
 
-echo "== TSan build + parallel-engine tests =="
+echo "== TSan build + parallel-engine and live-stack tests =="
 cmake -B build-tsan -S . -DMAREA_SANITIZE=TSAN >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target parallel_sim_test \
-  chaos_soak_test radio_relay_test chunk_pipeline_test gossip_steady_state_test
+  chaos_soak_test radio_relay_test chunk_pipeline_test \
+  gossip_steady_state_test live_stack_test live_soak_test transport_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-  -R 'ParallelSim|ChaosSoak|DataMuleScenario|ChunkPipeline|GossipSteadyState|OrphanedSubscriber'
+  -R 'ShardGridTest|ShardedDomainTest|ChaosSoak|DataMuleScenario|ChunkPipeline|GossipSteadyState|OrphanedSubscriber|LiveStackTest|LiveSoakTest|LiveBackendTest'
 
 echo "== release hot-path bench (BENCH_hotpath.json) =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null

@@ -178,7 +178,7 @@ void ServiceContainer::stop() {
   file_remote_subscribers_.clear();
   file_subs_.clear();
   transfer_names_.clear();
-  for (auto& [id, peer] : peers_) retire_peer_link_stats(peer);
+  for (const auto& peer : peers_) retire_peer_link_stats(*peer);
   peers_.clear();
   forgotten_.clear();
   directory_ = NameDirectory{};
@@ -189,7 +189,7 @@ void ServiceContainer::stop() {
 std::vector<proto::ContainerId> ServiceContainer::known_peers() const {
   std::vector<proto::ContainerId> ids;
   ids.reserve(peers_.size());
-  for (const auto& [id, peer] : peers_) ids.push_back(id);
+  for (const auto& peer : peers_) ids.push_back(peer->id);
   return ids;
 }
 
@@ -197,7 +197,7 @@ std::vector<transport::Address> ServiceContainer::known_peer_addresses()
     const {
   std::vector<transport::Address> addrs;
   addrs.reserve(peers_.size());
-  for (const auto& [id, peer] : peers_) addrs.push_back(peer.address);
+  for (const auto& peer : peers_) addrs.push_back(peer->address);
   return addrs;
 }
 
@@ -483,24 +483,20 @@ void ServiceContainer::manifest_changed() {
 
 ServiceContainer::Peer& ServiceContainer::ensure_peer(
     proto::ContainerId id, transport::Address addr) {
-  auto it = peers_.find(id);
-  if (it == peers_.end()) {
-    Peer peer;
-    peer.id = id;
-    peer.address = addr;
-    peer.last_heard = now();
-    it = peers_.emplace(id, std::move(peer)).first;
+  auto [peer, inserted] = peers_.try_emplace(id);
+  if (inserted) {
+    peer->address = addr;
+    peer->forgotten = forgotten_.count(id) != 0;
     // Introduce ourselves so the newcomer learns our manifest without
     // waiting for the next broadcast.
     announce(/*broadcast_to_all=*/false, addr);
   }
-  it->second.last_heard = now();
-  return it->second;
+  peer->last_heard = now();
+  return *peer;
 }
 
 ServiceContainer::Peer* ServiceContainer::peer(proto::ContainerId id) {
-  auto it = peers_.find(id);
-  return it == peers_.end() ? nullptr : &it->second;
+  return peers_.find(id);
 }
 
 void ServiceContainer::on_hello(proto::ContainerId from,
@@ -551,8 +547,9 @@ bool ServiceContainer::refresh_only(proto::ContainerId from,
 }
 
 void ServiceContainer::reintroduce_if_forgotten(Peer& peer) {
+  if (!peer.forgotten) return;
+  peer.forgotten = false;
   auto it = forgotten_.find(peer.id);
-  if (it == forgotten_.end()) return;
   const bool same_life = it->second == peer.incarnation;
   forgotten_.erase(it);
   // A restarted peer re-subscribes on its own. The opener is a no-op
@@ -561,12 +558,19 @@ void ServiceContainer::reintroduce_if_forgotten(Peer& peer) {
 }
 
 void ServiceContainer::on_bye(proto::ContainerId from) {
-  if (peers_.count(from)) peer_lost(from, "bye");
+  peer_lost(from, "bye");
 }
 
 void ServiceContainer::on_heartbeat(proto::ContainerId from,
                                     transport::Address addr,
                                     const proto::HeartbeatMsg& msg) {
+  // Steady state: a known peer in the same life that nothing is pending
+  // for. The full path below could only refresh its liveness.
+  Peer* known = peers_.find(from);
+  if (known && msg.incarnation == known->incarnation && !known->forgotten) {
+    known->last_heard = now();
+    return;
+  }
   // Heartbeats are best-effort broadcasts and reorder freely: a stale one
   // from the previous incarnation must be ignored, not treated as a
   // restart (which would kill a perfectly live peer).
@@ -579,15 +583,14 @@ void ServiceContainer::on_heartbeat(proto::ContainerId from,
 bool ServiceContainer::check_peer_incarnation(proto::ContainerId from,
                                               uint64_t incarnation) {
   if (incarnation == 0) return true;  // unstamped (pre-incarnation sender)
-  auto it = peers_.find(from);
-  if (it == peers_.end()) return true;  // no state to protect yet
-  Peer& p = it->second;
-  if (p.incarnation == 0) {
-    p.incarnation = incarnation;
+  Peer* p = peers_.find(from);
+  if (!p) return true;  // no state to protect yet
+  if (p->incarnation == 0) {
+    p->incarnation = incarnation;
     return true;
   }
-  if (incarnation == p.incarnation) return true;
-  if (incarnation < p.incarnation) return false;  // replay from a dead life
+  if (incarnation == p->incarnation) return true;
+  if (incarnation < p->incarnation) return false;  // replay from a dead life
   // The peer restarted: everything bound to the old incarnation —
   // directory records, subscriptions, ARQ sequence state — is now invalid.
   peer_lost(from, "incarnation change");
@@ -623,8 +626,8 @@ void ServiceContainer::heartbeat_tick() {
 
   const Duration limit = config_.heartbeat_interval * config_.liveness_factor;
   std::vector<proto::ContainerId> dead;  // allocates only on a death
-  for (const auto& [id, peer] : peers_) {
-    if (t - peer.last_heard > limit) dead.push_back(id);
+  for (const auto& peer : peers_) {
+    if (t - peer->last_heard > limit) dead.push_back(peer->id);
   }
   for (auto id : dead) peer_lost(id, "heartbeat silence");
 
@@ -665,14 +668,14 @@ void ServiceContainer::health_tick() {
 
 void ServiceContainer::peer_lost(proto::ContainerId id,
                                  const std::string& why) {
-  auto it = peers_.find(id);
-  if (it == peers_.end()) return;
+  Peer* lost = peers_.find(id);
+  if (!lost) return;
   MAREA_LOG(kWarn, kLog) << qualify(config_) << " lost container " << id
                          << " (" << why << ")";
   trace_ev(obs::TraceEvent::kPeerLost, obs::TraceKind::kNode, id);
-  forgotten_[id] = it->second.incarnation;
-  retire_peer_link_stats(it->second);
-  peers_.erase(it);
+  forgotten_[id] = lost->incarnation;
+  retire_peer_link_stats(*lost);
+  peers_.erase(id);
 
   directory_.drop_container(id);
 
@@ -851,20 +854,20 @@ void ServiceContainer::publish_metrics(obs::MetricsRegistry& reg) {
   proto::ArqReceiverStats rx = arq_rx_retired_;
   size_t in_flight = 0;
   size_t queued = 0;
-  for (const auto& [id, peer] : peers_) {
-    if (peer.tx) {
-      const auto& s = peer.tx->stats();
+  for (const auto& peer : peers_) {
+    if (peer->tx) {
+      const auto& s = peer->tx->stats();
       tx.messages_accepted += s.messages_accepted;
       tx.frames_sent += s.frames_sent;
       tx.retransmits += s.retransmits;
       tx.fast_retransmits += s.fast_retransmits;
       tx.delivered += s.delivered;
       tx.failed += s.failed;
-      in_flight += peer.tx->in_flight();
-      queued += peer.tx->queued();
+      in_flight += peer->tx->in_flight();
+      queued += peer->tx->queued();
     }
-    if (peer.rx) {
-      const auto& s = peer.rx->stats();
+    if (peer->rx) {
+      const auto& s = peer->rx->stats();
       rx.frames_received += s.frames_received;
       rx.delivered += s.delivered;
       rx.duplicates += s.duplicates;

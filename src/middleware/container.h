@@ -22,6 +22,7 @@
 // same constraint — handlers are serialized by the scheduler).
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <limits>
@@ -135,6 +136,53 @@ struct ServiceUsage {
 
 // "The programmed emergency procedure" hook (§4.3).
 using EmergencyHandler = std::function<void(const std::string& reason)>;
+
+// Peer records by container id: a sorted id index (1 KB for 255 peers,
+// so a lookup is a binary search over a few hot cache lines) beside
+// heap-stable records. A Record& stays valid across inserts and erases
+// of other ids, and iteration runs in ascending id order, so liveness
+// sweeps, known_peers() and metrics see peers in a fixed order.
+// `Record` needs a default constructor and a `proto::ContainerId id`.
+template <typename Record>
+class PeerTable {
+ public:
+  using Slots = std::vector<std::unique_ptr<Record>>;
+
+  Record* find(proto::ContainerId id) const {
+    const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+    if (it == ids_.end() || *it != id) return nullptr;
+    return records_[static_cast<size_t>(it - ids_.begin())].get();
+  }
+  // The record for `id`, created (with only `id` set) when absent;
+  // `second` tells whether it was.
+  std::pair<Record*, bool> try_emplace(proto::ContainerId id) {
+    const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+    const auto i = it - ids_.begin();
+    if (it != ids_.end() && *it == id) return {records_[i].get(), false};
+    ids_.insert(it, id);
+    auto record = std::make_unique<Record>();
+    record->id = id;
+    return {records_.insert(records_.begin() + i, std::move(record))->get(),
+            true};
+  }
+  void erase(proto::ContainerId id) {
+    const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+    if (it == ids_.end() || *it != id) return;
+    records_.erase(records_.begin() + (it - ids_.begin()));
+    ids_.erase(it);
+  }
+  void clear() {
+    ids_.clear();
+    records_.clear();
+  }
+  size_t size() const { return ids_.size(); }
+  typename Slots::const_iterator begin() const { return records_.begin(); }
+  typename Slots::const_iterator end() const { return records_.end(); }
+
+ private:
+  std::vector<proto::ContainerId> ids_;  // ascending
+  Slots records_;                        // records_[i]->id == ids_[i]
+};
 
 class ServiceContainer {
  public:
@@ -394,12 +442,17 @@ class ServiceContainer {
   };
 
   struct Peer {
-    proto::ContainerId id = proto::kInvalidContainer;
-    transport::Address address;
-    std::string node_name;
+    // Every heartbeat and hello receipt reads only these first 40 bytes,
+    // so a receipt touches one or two cache lines of the record.
     uint64_t incarnation = 0;
     uint64_t manifest_version = 0;  // newest applied for this incarnation
     TimePoint last_heard{};
+    transport::Address address;
+    proto::ContainerId id = proto::kInvalidContainer;
+    // Set while forgotten_ still holds this peer's pre-loss incarnation:
+    // rediscovered, not yet reintroduced. Spares receipts that lookup.
+    bool forgotten = false;
+    std::string node_name;
     std::unique_ptr<proto::ArqSender> tx;
     std::unique_ptr<proto::ArqReceiver> rx;
     // Link sessions disambiguate ARQ sequence spaces across peer_lost /
@@ -621,7 +674,7 @@ class ServiceContainer {
   std::map<std::string, proto::ServiceState> service_states_;
 
   NameDirectory directory_;
-  std::map<proto::ContainerId, Peer> peers_;
+  PeerTable<Peer> peers_;
   // Monotonic per-peer tx session counter. Deliberately outside Peer: it
   // must survive peer_lost so the next sender life for the same peer is
   // distinguishable from the one the outage killed.

@@ -37,7 +37,7 @@ void ServiceContainer::link_send(proto::ContainerId peer_id,
           // Resolve the destination at (re)transmit time, not capture it
           // at session creation: a peer process that re-execs onto a new
           // ephemeral port keeps its id but changes address, and hello
-          // rewrites peers_[id].address while this session's retransmit
+          // rewrites the peer's address while this session's retransmit
           // queue is still draining.
           Peer* dst = peer(peer_id);
           if (!dst) return;
@@ -59,7 +59,7 @@ void ServiceContainer::link_send(proto::ContainerId peer_id,
         [this, peer_id](uint64_t, const Status&) {
           // Repeated delivery failure == the peer is effectively gone.
           executor_.post(sched::Priority::kBackground, [this, peer_id] {
-            if (peers_.count(peer_id)) peer_lost(peer_id, "link failure");
+            peer_lost(peer_id, "link failure");
           });
         });
   }
