@@ -39,9 +39,10 @@ echo "== TSan build + parallel-engine and live-stack tests =="
 cmake -B build-tsan -S . -DMAREA_SANITIZE=TSAN >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target parallel_sim_test \
   chaos_soak_test radio_relay_test chunk_pipeline_test \
-  gossip_steady_state_test live_stack_test live_soak_test transport_test
+  gossip_steady_state_test sched_test live_stack_test live_soak_test \
+  transport_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-  -R 'ShardGridTest|ShardedDomainTest|ChaosSoak|DataMuleScenario|ChunkPipeline|GossipSteadyState|OrphanedSubscriber|LiveStackTest|LiveSoakTest|LiveBackendTest'
+  -R 'ShardGridTest|ShardedDomainTest|ChaosSoak|DataMuleScenario|ChunkPipeline|GossipSteadyState|OrphanedSubscriber|ThreadPoolTest|LiveStackTest|LiveSoakTest|LiveBackendTest'
 
 echo "== release hot-path bench (BENCH_hotpath.json) =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null

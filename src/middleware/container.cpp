@@ -236,17 +236,21 @@ void ServiceContainer::on_datagram(transport::Address from,
                                    SharedFrame frame) {
   // Runs on the transport dispatch context: retain the shared frame (a
   // refcount bump, not a copy) and hand the real work to the scheduler at
-  // the primitive's fixed priority (§6).
+  // the primitive's fixed priority (§6). dispatch() may run the task right
+  // here when the executor is idle. That is safe because both live
+  // backends call frame handlers with no lock held and arm/cancel sockets
+  // asynchronously, so nothing the task does (send, bind, join, leave)
+  // waits for this thread; keep it that way.
   BytesView data = frame.view();
   if (data.size() < proto::kFrameOverhead) return;
   auto type = static_cast<proto::MsgType>(data[3]);  // header peek
   Duration cost = config_.handler_cost;
   if (type == proto::MsgType::kFileChunk) cost = cost * 2;  // bulk copy
-  executor_.post(priority_of(type),
-                 [this, from, frame = std::move(frame)]() {
-                   process_frame(from, frame);
-                 },
-                 cost);
+  executor_.dispatch(priority_of(type),
+                     [this, from, frame = std::move(frame)]() {
+                       process_frame(from, frame);
+                     },
+                     cost);
 }
 
 void ServiceContainer::process_frame(transport::Address from,

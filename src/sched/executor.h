@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "util/inline_fn.h"
 #include "util/time.h"
@@ -45,6 +46,18 @@ class Executor {
   // ignore it (the handler's own runtime is the cost).
   virtual void post(Priority priority, Task task,
                     Duration cost = kDurationZero) = 0;
+
+  // Like post(), but an executor that is idle (nothing queued, nothing
+  // running) may run `task` on the calling thread before returning, so a
+  // received frame costs one thread wake instead of two. Only a thread
+  // that holds no lock the task might take may call it: the transport
+  // dispatch threads and the executor's own timer thread. post() never
+  // runs the task inline. The default is post(), so a deterministic
+  // executor's event order does not depend on which entry point is used.
+  virtual void dispatch(Priority priority, Task task,
+                        Duration cost = kDurationZero) {
+    post(priority, std::move(task), cost);
+  }
 
   // Runs `task` after `delay`. Returns a cancellation id.
   virtual TaskTimerId schedule(Duration delay, Priority priority, Task task,

@@ -6,13 +6,20 @@ namespace marea::sched {
 
 void SimExecutor::post(Priority priority, Task task, Duration cost) {
   assert(task);
-  Queued q{std::move(task), cost, sim_.now(), next_seq_++, priority};
+  const TimePoint now = sim_.now();
+  if (!busy_ && queued() == 0 && !in_reserved_slot(now, priority, cost)) {
+    // Idle, nothing waiting and no reserved slot in the way: start_next
+    // would pick this very task, so start it without the deque trip.
+    start(std::move(task), priority, cost, kDurationZero);
+    return;
+  }
+  Queued q{std::move(task), cost, now, priority};
   if (fifo_) {
     fifo_queue_.push_back(std::move(q));
   } else {
     queues_[static_cast<size_t>(priority)].push_back(std::move(q));
   }
-  if (!busy_) dispatch();
+  if (!busy_) start_next();
 }
 
 TaskTimerId SimExecutor::schedule(Duration delay, Priority priority,
@@ -68,7 +75,7 @@ TimePoint SimExecutor::next_allowed_start(TimePoint t, Priority p,
   return t;
 }
 
-void SimExecutor::dispatch() {
+void SimExecutor::start_next() {
   if (busy_) return;
 
   std::deque<Queued>* source = nullptr;
@@ -81,7 +88,7 @@ void SimExecutor::dispatch() {
     Queued& head = fifo_queue_.front();
     TimePoint allowed = next_allowed_start(now, head.priority, head.cost);
     if (allowed > now) {
-      sim_.at(allowed, [this] { dispatch(); });
+      sim_.at(allowed, [this] { start_next(); });
       return;
     }
   } else {
@@ -97,28 +104,35 @@ void SimExecutor::dispatch() {
     }
     if (!source) {
       if (earliest.ns != INT64_MAX) {
-        sim_.at(earliest, [this] { dispatch(); });
+        sim_.at(earliest, [this] { start_next(); });
       }
       return;
     }
   }
 
-  Queued task = std::move(source->front());
+  Queued& head = source->front();
+  start(std::move(head.task), head.priority, head.cost, now - head.enqueued);
   source->pop_front();
+}
 
-  size_t pri = static_cast<size_t>(task.priority);
-  Duration wait = now - task.enqueued;
+void SimExecutor::start(Task task, Priority priority, Duration cost,
+                        Duration wait) {
+  size_t pri = static_cast<size_t>(priority);
   stats_.tasks_run++;
   stats_.count[pri]++;
   stats_.total_wait[pri] = stats_.total_wait[pri] + wait;
   if (wait > stats_.max_wait[pri]) stats_.max_wait[pri] = wait;
 
   busy_ = true;
-  sim_.after(task.cost, [this, fn = std::move(task.task)]() {
-    fn();
-    busy_ = false;
-    dispatch();
-  });
+  running_ = std::move(task);
+  sim_.after(cost, [this] { complete(); });
+}
+
+void SimExecutor::complete() {
+  running_();
+  running_.reset();
+  busy_ = false;
+  start_next();
 }
 
 }  // namespace marea::sched

@@ -66,11 +66,15 @@ class SimExecutor final : public Executor {
     Task task;
     Duration cost;
     TimePoint enqueued;
-    uint64_t seq;
     Priority priority;
   };
 
-  void dispatch();
+  // Starts the next task the queues and reserved slots allow, if idle.
+  void start_next();
+  // Occupies the CPU with `task` for `cost`; its completion event
+  // captures only `this`, the task itself waits in running_.
+  void start(Task task, Priority priority, Duration cost, Duration wait);
+  void complete();
   bool in_reserved_slot(TimePoint t, Priority p, Duration cost) const;
   // Next instant a task of priority p (cost c) may start, >= t.
   TimePoint next_allowed_start(TimePoint t, Priority p, Duration cost) const;
@@ -80,7 +84,7 @@ class SimExecutor final : public Executor {
   Duration slot_period_ = kDurationZero;  // 0 = no reservation
   Duration slot_width_ = kDurationZero;
   bool busy_ = false;
-  uint64_t next_seq_ = 1;
+  Task running_;
   std::array<std::deque<Queued>, kPriorityCount> queues_;
   std::deque<Queued> fifo_queue_;
   SimExecutorStats stats_;

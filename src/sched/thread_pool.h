@@ -4,6 +4,11 @@
 // takes from the highest non-empty queue; FIFO within a queue. A dedicated
 // timer thread feeds delayed tasks back into the queues.
 //
+// dispatch() on an idle pool runs the task on the caller's thread. Such an
+// inline run counts as an active task, and a worker only starts a task
+// while fewer than `workers` are active, so a 1-worker pool stays strictly
+// serial whichever thread runs each task.
+//
 // Used by the live-UDP demo and the thread-pool unit tests; the simulated
 // stack uses SimExecutor instead for determinism.
 #pragma once
@@ -15,6 +20,7 @@
 #include <map>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "sched/executor.h"
@@ -31,6 +37,8 @@ class ThreadPoolExecutor final : public Executor {
   ThreadPoolExecutor& operator=(const ThreadPoolExecutor&) = delete;
 
   void post(Priority priority, Task task, Duration cost = kDurationZero) override;
+  void dispatch(Priority priority, Task task,
+                Duration cost = kDurationZero) override;
   TaskTimerId schedule(Duration delay, Priority priority, Task task,
                        Duration cost = kDurationZero) override;
   void cancel(TaskTimerId id) override;
@@ -40,21 +48,30 @@ class ThreadPoolExecutor final : public Executor {
   // Blocks until all queues are empty and all workers idle (tests).
   void drain();
 
-  uint64_t tasks_run() const { return tasks_run_.load(); }
+  uint64_t tasks_run() const {
+    return tasks_run_.load(std::memory_order_relaxed);
+  }
 
  private:
   void worker_loop();
   void timer_loop();
+  // Queues `task`; returns true when a worker slot is free to take it.
+  // Caller holds mutex_.
+  bool enqueue_locked(Priority priority, Task task);
+  // Waits (holding `lock` on mutex_) until nothing is queued or running.
+  void wait_idle_locked(std::unique_lock<std::mutex>& lock);
 
   SteadyClock default_clock_;
   const Clock* clock_;
+  const size_t worker_count_;
 
   std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
   std::array<std::deque<Task>, kPriorityCount> queues_;
   size_t queued_ = 0;
-  size_t active_ = 0;
+  size_t active_ = 0;         // running tasks: workers' and inline ones
+  size_t idle_waiters_ = 0;   // threads blocked in wait_idle_locked
   bool stopping_ = false;
 
   std::mutex timer_mutex_;
@@ -63,7 +80,9 @@ class ThreadPoolExecutor final : public Executor {
     Priority priority;
     Task task;
   };
-  std::multimap<int64_t, std::pair<TaskTimerId, Timed>> timers_;
+  // Ordered by (due, id): equal due times fire in schedule order.
+  std::map<std::pair<int64_t, TaskTimerId>, Timed> timers_;
+  std::unordered_map<TaskTimerId, int64_t> timer_due_;  // id -> due, for cancel
   TaskTimerId next_timer_id_ = 1;
 
   std::atomic<uint64_t> tasks_run_{0};

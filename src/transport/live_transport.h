@@ -70,8 +70,12 @@ struct LiveTransportOptions {
   // batching to engage. Sparse traffic is NOT delayed by the window —
   // an empty window falls back to wake-on-first-completion — but a
   // datagram arriving just after a wait begins can wait out the full
-  // window, so this bounds added latency under light load. 0 disables.
-  unsigned uring_min_wait_us = 200;
+  // window, so this bounds added latency under light load. 0 (the
+  // default) disables it: a container's executor runs an idle frame's
+  // task on the dispatch thread, so a datagram already costs one wake,
+  // and the window would only add its latency. Throughput-only loads
+  // (bench_live) still set it.
+  unsigned uring_min_wait_us = 0;
 };
 
 enum class TransportBackend { kAuto, kEpoll, kUring };

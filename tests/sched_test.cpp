@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "sched/sim_executor.h"
@@ -219,6 +223,120 @@ TEST(ThreadPoolTest, CleanShutdownWithPendingTimers) {
     pool.drain();
   }  // destructor must not hang or fire the far timer
   EXPECT_EQ(count.load(), 1);
+}
+
+TEST(ThreadPoolTest, DispatchOnIdlePoolRunsOnCallingThread) {
+  ThreadPoolExecutor pool(1);
+  std::thread::id ran_on;
+  pool.dispatch(Priority::kVariable,
+                [&] { ran_on = std::this_thread::get_id(); });
+  // No drain(): an inline run has finished before dispatch() returns.
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(pool.tasks_run(), 1u);
+}
+
+TEST(ThreadPoolTest, DispatchWhileBusyQueuesInPriorityOrder) {
+  ThreadPoolExecutor pool(1);
+  std::atomic<bool> block{true};
+  std::atomic<bool> started{false};
+  std::vector<Priority> order;
+  std::mutex m;
+  pool.post(Priority::kEvent, [&] {
+    started = true;
+    while (block.load()) std::this_thread::yield();
+  });
+  while (!started.load()) std::this_thread::yield();
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> ran_inline{false};
+  auto record = [&](Priority p) {
+    return [&, p] {
+      if (std::this_thread::get_id() == caller) ran_inline = true;
+      std::lock_guard lock(m);
+      order.push_back(p);
+    };
+  };
+  pool.dispatch(Priority::kBackground, record(Priority::kBackground));
+  pool.dispatch(Priority::kFileTransfer, record(Priority::kFileTransfer));
+  pool.post(Priority::kVariable, record(Priority::kVariable));
+  pool.dispatch(Priority::kEvent, record(Priority::kEvent));
+  {
+    std::lock_guard lock(m);
+    EXPECT_TRUE(order.empty());  // all queued behind the running task
+  }
+  block = false;
+  pool.drain();
+  EXPECT_FALSE(ran_inline.load());
+  EXPECT_EQ(order, (std::vector<Priority>{Priority::kEvent,
+                                          Priority::kVariable,
+                                          Priority::kFileTransfer,
+                                          Priority::kBackground}));
+}
+
+TEST(ThreadPoolTest, OneWorkerStaysSerialUnderMixedDispatchPostSchedule) {
+  ThreadPoolExecutor pool(1);
+  std::atomic<int> running{0};
+  std::atomic<int> max_running{0};
+  std::atomic<uint64_t> done{0};
+  uint64_t unguarded = 0;  // serial tasks need no lock; TSan checks that
+  auto task = [&] {
+    const int now = running.fetch_add(1) + 1;
+    int seen = max_running.load();
+    while (now > seen && !max_running.compare_exchange_weak(seen, now)) {
+    }
+    ++unguarded;
+    std::this_thread::yield();  // widen the window an overlap would need
+    running.fetch_sub(1);
+    done.fetch_add(1);
+  };
+  std::atomic<uint64_t> submitted{0};
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1000);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      uint64_t i = 0;
+      while (std::chrono::steady_clock::now() < until) {
+        const auto p = static_cast<Priority>((i + t) % kPriorityCount);
+        switch ((i + t) % 3) {
+          case 0: pool.dispatch(p, task); break;
+          case 1: pool.post(p, task); break;
+          default: pool.schedule(microseconds(50), p, task); break;
+        }
+        submitted.fetch_add(1);
+        if (++i % 64 == 0) std::this_thread::yield();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  // Scheduled tasks land within a few ms; wait for all of them.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (done.load() < submitted.load() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  pool.drain();
+  EXPECT_EQ(done.load(), submitted.load());
+  EXPECT_EQ(pool.tasks_run(), submitted.load());
+  EXPECT_EQ(unguarded, submitted.load());
+  EXPECT_EQ(max_running.load(), 1);
+}
+
+TEST(ThreadPoolTest, DestroyWhileInlineDispatchRuns) {
+  auto pool = std::make_unique<ThreadPoolExecutor>(1);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> finished{false};
+  std::thread caller([&] {
+    pool->dispatch(Priority::kVariable, [&] {
+      entered = true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      finished = true;
+    });
+  });
+  while (!entered.load()) std::this_thread::yield();
+  pool.reset();  // must wait for the inline run, not free under it
+  EXPECT_TRUE(finished.load());
+  caller.join();
 }
 
 }  // namespace
