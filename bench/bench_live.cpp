@@ -161,11 +161,8 @@ LegResult run_leg(TransportBackend backend) {
   // The registry outlives every transport whose collector it hosts.
   obs::Observability obs;
 
-  // MTU-sized receive slabs: the realistic deployment shape, and it keeps
-  // the per-batch slab resize cheap compared to 64 KB worst-case slabs.
   TransportConfig config;
   config.backend = backend;
-  config.options.recv_buffer = 2048;
   // Enough provided buffers to absorb the full send window without
   // exhausting the ring (exhaustion terminates the multishot and costs a
   // rearm round-trip — the pathology this knob exists for).

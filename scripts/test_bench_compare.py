@@ -131,10 +131,16 @@ class SpecGateTest(unittest.TestCase):
         self.assertIn("passing without comparison", out)
 
 
-class LegacyGateTest(unittest.TestCase):
-    """Fixed-key vocabulary used by the hotpath/live baselines."""
+class ZeroCopyGateTest(unittest.TestCase):
+    """The zero-copy datapath gates of the hotpath/live baselines."""
 
     BASE = {
+        "gates": {
+            "heap_allocs_per_sample": {"direction": "lower",
+                                       "tolerance": 0.10},
+            "net_payload_bytes_copied_per_sample": {"direction": "lower",
+                                                    "tolerance": 0.10},
+        },
         "heap_allocs_per_sample": 0.0,
         "net_payload_bytes_copied_per_sample": 100.0,
     }
@@ -151,6 +157,26 @@ class LegacyGateTest(unittest.TestCase):
             self.BASE, {"heap_allocs_per_sample": 0.0,
                         "net_payload_bytes_copied_per_sample": 105.0})
         self.assertEqual(code, 0, out)
+
+    def test_committed_hotpath_baseline_gates_both_keys(self):
+        with open(os.path.join(os.path.dirname(SCRIPT), "..", "bench",
+                               "baselines", "hotpath.json")) as f:
+            base = json.load(f)
+        same = {k: v for k, v in base.items() if k != "gates"}
+        code, out = run_compare(base, same)
+        self.assertEqual(code, 0, out)
+        for key, bad in (("heap_allocs_per_sample",
+                          base["heap_allocs_per_sample"] * 1.2),
+                         ("net_payload_bytes_copied_per_sample", 1.0)):
+            code, out = run_compare(base, dict(same, **{key: bad}))
+            self.assertEqual(code, 1, out)
+            self.assertIn(f"regressed: {key}", out)
+
+    def test_baseline_without_gates_is_an_error(self):
+        code, out = run_compare({"heap_allocs_per_sample": 0.0},
+                                {"heap_allocs_per_sample": 0.0})
+        self.assertEqual(code, 2, out)
+        self.assertIn('no "gates"', out)
 
 
 if __name__ == "__main__":

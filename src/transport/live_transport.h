@@ -39,8 +39,9 @@ inline uint16_t multicast_port(GroupId group) {
 
 struct LiveTransportOptions {
   // Per-datagram receive slab size: datagrams larger than this are
-  // truncation-dropped. Default covers the largest UDP payload; an
-  // MTU-sized deployment (bench_live) shrinks it.
+  // truncation-dropped. Default covers the largest UDP payload. A
+  // recycled receive slab keeps its length, so the size costs memory
+  // (uring_buf_ring of them on io_uring), not a per-datagram fill.
   size_t recv_buffer = 65536;
   // Datagrams per recvmmsg batch (epoll backend).
   int recv_batch = 8;

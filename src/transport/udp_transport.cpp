@@ -520,11 +520,12 @@ void UdpTransport::drain_socket(const SocketPtr& s, RecvScratch& scratch) {
   const int batch = static_cast<int>(scratch.msgs.size());
   for (int round = 0; round < options_.max_batches_per_event; ++round) {
     for (int i = 0; i < batch; ++i) {
+      // A lease the last round did not hand over is still at full
+      // length; only consumed ones are replaced.
       if (!scratch.leases[i].valid()) {
-        scratch.leases[i] = frame_pool().acquire(options_.recv_buffer);
+        scratch.leases[i] = frame_pool().acquire_recv(options_.recv_buffer);
       }
       Buffer& buf = scratch.leases[i].buffer();
-      buf.resize(options_.recv_buffer);
       scratch.iovs[i] = iovec{buf.data(), buf.size()};
       scratch.msgs[i] = mmsghdr{};
       scratch.msgs[i].msg_hdr.msg_iov = &scratch.iovs[i];
@@ -564,8 +565,9 @@ void UdpTransport::drain_socket(const SocketPtr& s, RecvScratch& scratch) {
         continue;  // our own loopback copy
       }
       if (s->frame_handler) {
-        // Publish exactly the datagram: shrink (no realloc, no fill),
-        // freeze, hand the refcounted slab over — zero user-space copies.
+        // Publish exactly the datagram as the frame's view (the slab
+        // keeps its length), hand the refcounted slab over — zero
+        // user-space copies.
         s->frame_handler(
             from, std::move(scratch.leases[i]).freeze_prefix(len));
       } else if (s->handler) {

@@ -915,9 +915,7 @@ void UringTransport::dispatch_loop() {
     if (err.empty()) {
       c.buf_leases.reserve(c.buf_entries);
       for (unsigned i = 0; i < c.buf_entries; ++i) {
-        FrameLease lease = frame_pool().acquire(c.buf_len);
-        lease.buffer().resize(c.buf_len);
-        c.buf_leases.push_back(std::move(lease));
+        c.buf_leases.push_back(frame_pool().acquire_recv(c.buf_len));
         c.publish_buf(i);
       }
     }
@@ -1001,7 +999,6 @@ void UringTransport::dispatch_loop() {
     }
 
     if (bid >= 0) {
-      bool recycled_in_place = true;
       if (cqe->res >= 0 && s && !draining_entry &&
           !s->closed.load(std::memory_order_acquire)) {
         FrameLease& lease = c.buf_leases[bid];
@@ -1033,13 +1030,13 @@ void UringTransport::dispatch_loop() {
                                                  std::memory_order_relaxed);
           } else if (s->frame_handler) {
             // The slab the kernel filled leaves with the handler; a
-            // fresh pooled slab replaces it in the buffer ring. The
-            // published view starts at the payload (freeze_payload), so
-            // downstream readers never see the recvmsg_out header.
+            // pooled slab at full receive length replaces it in the
+            // buffer ring (a recycled one is not re-filled). The
+            // published view is exactly the payload (freeze_payload), so
+            // downstream readers never see the recvmsg_out header nor
+            // any byte past the datagram.
             FrameLease filled = std::move(lease);
-            c.buf_leases[bid] = frame_pool().acquire(c.buf_len);
-            c.buf_leases[bid].buffer().resize(c.buf_len);
-            recycled_in_place = false;
+            c.buf_leases[bid] = frame_pool().acquire_recv(c.buf_len);
             s->frame_handler(
                 from,
                 std::move(filled).freeze_payload(offset, paylen));
@@ -1052,7 +1049,6 @@ void UringTransport::dispatch_loop() {
         // received traffic, like the epoll backend's closed-check.
         stats_.frames_received.fetch_add(1, std::memory_order_relaxed);
       }
-      (void)recycled_in_place;
       c.publish_buf(static_cast<unsigned>(bid));
       stats_.uring_buf_ring_refills.fetch_add(1, std::memory_order_relaxed);
     }

@@ -11,8 +11,9 @@
 //     slab the kernel filled is frozen at its payload window
 //     (FrameLease::freeze_payload — the kernel prepends an
 //     io_uring_recvmsg_out header + source address) and handed to the
-//     frame handler refcounted. The buffer ring is refilled in place
-//     (net.uring_buf_ring_refills).
+//     frame handler refcounted. The ring entry is refilled with a
+//     pooled slab at full receive length; a recycled slab keeps its
+//     length, so a refill fills no bytes (net.uring_buf_ring_refills).
 //   * SEND — unicast/fan-out sends build one IORING_OP_SENDMSG SQE per
 //     destination and flush the whole batch with a single
 //     io_uring_enter that also waits for the completions, under the

@@ -12,11 +12,7 @@ void release_slab(FrameSlab* slab) {
   if (!home) return;
   std::lock_guard<std::mutex> lock(home->mu);
   if (home->closed || home->free_list.size() >= home->max_free) return;
-  // Keep capacity, drop contents: a re-acquired slab must start empty so
-  // no stale bytes from a previous frame can leak into the next one. The
-  // view offset rewinds with it — the next checkout sees a whole buffer.
-  owned->data.clear();
-  owned->view_offset = 0;
+  // Bytes and length stay: the next checkout reshapes the buffer.
   home->free_list.push_back(std::move(owned));
 }
 
@@ -39,7 +35,7 @@ FramePool::~FramePool() {
   // (shared_ptr) and see `closed` when they release.
 }
 
-FrameLease FramePool::acquire(size_t size_hint) {
+detail::FrameSlab* FramePool::checkout() {
   core_->checkouts.fetch_add(1, std::memory_order_relaxed);
   std::unique_ptr<detail::FrameSlab> slab;
   {
@@ -56,9 +52,25 @@ FrameLease FramePool::acquire(size_t size_hint) {
     slab = std::make_unique<detail::FrameSlab>();
     slab->data.reserve(core_->slab_reserve);
   }
-  if (size_hint > slab->data.capacity()) slab->data.reserve(size_hint);
   slab->home = core_;
-  return FrameLease(slab.release());
+  return slab.release();
+}
+
+FrameLease FramePool::acquire(size_t size_hint) {
+  detail::FrameSlab* slab = checkout();
+  // Keep capacity, drop contents: a builder starts from an empty buffer,
+  // so no stale bytes from a previous frame can leak into this one.
+  slab->data.clear();
+  if (size_hint > slab->data.capacity()) slab->data.reserve(size_hint);
+  return FrameLease(slab);
+}
+
+FrameLease FramePool::acquire_recv(size_t len) {
+  detail::FrameSlab* slab = checkout();
+  // A reallocation need not carry the old bytes over.
+  if (len > slab->data.capacity()) slab->data.clear();
+  slab->data.resize(len);
+  return FrameLease(slab);
 }
 
 FramePool::Stats FramePool::stats() const {

@@ -9,6 +9,10 @@
 //   released -> the slab returns to its pool's freelist, capacity intact,
 //   ready for the next acquire() without touching the heap.
 //
+// A receive path checks out a full-length slab (acquire_recv) and
+// freezes only the window the kernel wrote. A reader sees exactly the
+// (view_offset, view_len) window, never a byte not written for its frame.
+//
 // The slab keeps a strong reference to the pool core while checked out,
 // so frames may outlive the FramePool object itself (e.g. packets still
 // in flight in the simulator when a network is torn down). Refcounting is
@@ -16,6 +20,7 @@
 // and released from different threads (UDP poll thread vs. app thread).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -33,12 +38,15 @@ struct PoolCore;
 // One reusable backing buffer plus its refcount. refs == 0 means "held
 // exclusively by a lease"; freeze() publishes it at refs == 1.
 struct FrameSlab {
+  // Backing bytes. Their size is not the frame's: a receive slab keeps
+  // its full length across reuse, so recycling it costs no fill.
   Buffer data;
-  // First byte of the published view. Normally 0; freeze_payload() sets
-  // it when a kernel-written buffer carries a header (io_uring multishot
+  // The published window, set by every freeze. view_offset is nonzero
+  // when a kernel-written buffer carries a header (io_uring multishot
   // recvmsg prepends io_uring_recvmsg_out + the source address) ahead of
   // the payload that readers should see.
   size_t view_offset = 0;
+  size_t view_len = 0;
   std::atomic<uint32_t> refs{0};
   // Strong ref back to the owning pool, held only while checked out.
   std::shared_ptr<PoolCore> home;
@@ -100,11 +108,9 @@ class SharedFrame {
   BytesView view() const {
     if (!slab_) return BytesView{};
     return BytesView(slab_->data.data() + slab_->view_offset,
-                     slab_->data.size() - slab_->view_offset);
+                     slab_->view_len);
   }
-  size_t size() const {
-    return slab_ ? slab_->data.size() - slab_->view_offset : 0;
-  }
+  size_t size() const { return slab_ ? slab_->view_len : 0; }
 
   void reset() {
     if (slab_ && slab_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -146,35 +152,37 @@ class FrameLease {
   }
 
   bool valid() const { return slab_ != nullptr; }
-  // Empty (size 0) on acquire; capacity persists across pool reuse.
+  // Empty (size 0) from acquire(), full receive length from
+  // acquire_recv(); capacity persists across pool reuse.
   Buffer& buffer() { return slab_->data; }
 
-  // Publishes the bytes as immutable shared state. Consumes the lease.
+  // Publishes the whole buffer as immutable shared state. Consumes the
+  // lease.
   SharedFrame freeze() && {
-    detail::FrameSlab* slab = slab_;
-    slab_ = nullptr;
-    slab->refs.store(1, std::memory_order_release);
-    return SharedFrame(slab);
+    const size_t n = slab_->data.size();
+    return std::move(*this).freeze_payload(0, n);
   }
 
-  // Publishes only the first `n` bytes (a shrink of the logical size: no
-  // reallocation, no fill). The receive path acquires a max-datagram
-  // slab, lets the kernel write into it, then freezes exactly the
-  // datagram that arrived. Consumes the lease.
+  // Publishes only the first `n` bytes: exactly the datagram the kernel
+  // wrote into an acquire_recv() slab. Consumes the lease.
   SharedFrame freeze_prefix(size_t n) && {
-    if (n < slab_->data.size()) slab_->data.resize(n);
-    return std::move(*this).freeze();
+    return std::move(*this).freeze_payload(0, n);
   }
 
   // Publishes `len` bytes starting at `offset` — the payload window of a
   // buffer whose head holds transport framing the kernel wrote alongside
   // the datagram (see FrameSlab::view_offset). Zero-copy: the header
-  // bytes stay in the slab but are invisible to every reader of the
-  // SharedFrame. Consumes the lease.
+  // bytes, and everything past the window, stay in the slab but are
+  // invisible to every reader of the SharedFrame. The window is clipped
+  // to the buffer. Consumes the lease.
   SharedFrame freeze_payload(size_t offset, size_t len) && {
-    slab_->view_offset = offset;
-    if (offset + len < slab_->data.size()) slab_->data.resize(offset + len);
-    return std::move(*this).freeze();
+    detail::FrameSlab* slab = slab_;
+    slab_ = nullptr;
+    const size_t size = slab->data.size();
+    slab->view_offset = std::min(offset, size);
+    slab->view_len = std::min(len, size - slab->view_offset);
+    slab->refs.store(1, std::memory_order_release);
+    return SharedFrame(slab);
   }
 
  private:
@@ -203,12 +211,23 @@ class FramePool {
   FramePool(const FramePool&) = delete;
   FramePool& operator=(const FramePool&) = delete;
 
-  // `size_hint` pre-reserves capacity for the coming frame.
+  // An empty buffer for building a frame; `size_hint` pre-reserves
+  // capacity for it.
   FrameLease acquire(size_t size_hint = 0);
+
+  // A buffer exactly `len` bytes long for a kernel receive to write into.
+  // Bytes a recycled slab already holds are not re-filled; only growth
+  // past its current length is zeroed, once. The contents are unspecified
+  // until written: freeze only the window the kernel wrote.
+  FrameLease acquire_recv(size_t len);
 
   Stats stats() const;
 
  private:
+  // Pops a freelist slab (or allocates one) and takes the pool reference;
+  // the buffer comes back exactly as its last holder left it.
+  detail::FrameSlab* checkout();
+
   std::shared_ptr<detail::PoolCore> core_;
 };
 

@@ -3,6 +3,7 @@
 // SharedFrame fan-out semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -193,6 +194,56 @@ TEST(FramePoolTest, ReuseAfterReleaseHasNoStaleBytes) {
   FramePool::Stats s = pool.stats();
   EXPECT_EQ(s.checkouts, 2u);
   EXPECT_EQ(s.pool_hits, 1u);
+  EXPECT_EQ(s.slab_allocs, 1u);
+}
+
+TEST(FramePoolTest, RecycledReceiveSlabExposesOnlyNewBytes) {
+  FramePool pool(/*slab_reserve=*/64, /*max_free=*/4);
+  constexpr size_t kLen = 1024;
+  const uint8_t* storage = nullptr;
+  {
+    // A long datagram fills most of a full-length receive slab.
+    FrameLease lease = pool.acquire_recv(kLen);
+    ASSERT_EQ(lease.buffer().size(), kLen);
+    storage = lease.buffer().data();
+    std::fill_n(lease.buffer().begin(), 1000, uint8_t{0xAA});
+    SharedFrame f = std::move(lease).freeze_prefix(1000);
+    EXPECT_EQ(f.size(), 1000u);
+  }
+  {
+    // Recycled for a shorter one: the slab kept its length (no refill),
+    // yet the frame is exactly the five new bytes.
+    FrameLease lease = pool.acquire_recv(kLen);
+    EXPECT_EQ(lease.buffer().data(), storage);
+    ASSERT_EQ(lease.buffer().size(), kLen);
+    const Buffer datagram = {1, 2, 3, 4, 5};
+    std::copy(datagram.begin(), datagram.end(), lease.buffer().begin());
+    SharedFrame f = std::move(lease).freeze_prefix(datagram.size());
+    ASSERT_EQ(f.size(), datagram.size());
+    EXPECT_TRUE(std::equal(datagram.begin(), datagram.end(),
+                           f.view().begin(), f.view().end()));
+  }
+  {
+    // A payload window behind a kernel header hides the header and
+    // every byte past the payload.
+    FrameLease lease = pool.acquire_recv(kLen);
+    lease.buffer()[8] = 9;
+    lease.buffer()[9] = 8;
+    SharedFrame f = std::move(lease).freeze_payload(8, 2);
+    ASSERT_EQ(f.size(), 2u);
+    EXPECT_EQ(f.view().data(), storage + 8);
+    EXPECT_EQ(f.view()[0], 9);
+    EXPECT_EQ(f.view()[1], 8);
+  }
+  // A builder checking out the same slab still starts from nothing.
+  FrameLease builder = pool.acquire();
+  EXPECT_EQ(builder.buffer().data(), storage);
+  EXPECT_TRUE(builder.buffer().empty());
+  EXPECT_GE(builder.buffer().capacity(), kLen);
+
+  FramePool::Stats s = pool.stats();
+  EXPECT_EQ(s.checkouts, 4u);
+  EXPECT_EQ(s.pool_hits, 3u);
   EXPECT_EQ(s.slab_allocs, 1u);
 }
 

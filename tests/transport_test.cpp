@@ -616,6 +616,64 @@ TEST_P(LiveBackendTest, FrameBindDeliversRetainablePooledFrame) {
   EXPECT_EQ(rx->net_counters().payload_bytes_copied, 0u);
 }
 
+// Receive slabs keep their length across reuse, so a slab that held a
+// long datagram is recycled for short ones without a refill. Every frame
+// must still be exactly the datagram sent: no byte of an earlier, longer
+// datagram may show past its end. Eight ring entries (uring) and one
+// recvmmsg batch (epoll) make every slab serve many datagrams.
+TEST_P(LiveBackendTest, RecycledReceiveSlabsExposeExactlyEachDatagram) {
+  LiveTransportOptions options;
+  options.uring_buf_ring = 8;
+  auto tx = make_live("127.0.0.1", options);
+  auto rx = make_live("127.0.0.2", options);
+  if (!tx || !rx) GTEST_SKIP() << "UDP sockets unavailable";
+
+  std::mutex mu;
+  std::vector<Buffer> received;
+  Status s = rx->bind_frames(0, [&](Address, SharedFrame frame) {
+    std::lock_guard lock(mu);
+    received.emplace_back(frame.view().begin(), frame.view().end());
+  });  // the frame dies here, so its slab goes straight back to the pool
+  if (!s.is_ok()) GTEST_SKIP() << "bind failed: " << s.to_string();
+  const uint16_t port = rx->bound_port(0);
+  const Address dst{ipv4_host("127.0.0.2"), port};
+
+  // One 60 000-byte datagram, then short ones of varied length, each
+  // with its own byte pattern.
+  std::vector<Buffer> sent;
+  sent.emplace_back(60000, uint8_t{0xEE});
+  for (int i = 1; i <= 64; ++i) {
+    Buffer b(1 + (i * 37) % 300);
+    for (size_t j = 0; j < b.size(); ++j) {
+      b[j] = static_cast<uint8_t>(i * 31 + j);
+    }
+    sent.push_back(std::move(b));
+  }
+  // Lockstep: each datagram is received before the next is sent, so
+  // loopback never drops one and the order is known.
+  for (size_t i = 0; i < sent.size(); ++i) {
+    ASSERT_TRUE(tx->send(port, dst, as_bytes_view(sent[i])).is_ok());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    for (;;) {
+      {
+        std::lock_guard lock(mu);
+        if (received.size() > i) break;
+      }
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "datagram " << i << " never arrived";
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+
+  std::lock_guard lock(mu);
+  ASSERT_EQ(received.size(), sent.size());
+  for (size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(received[i], sent[i]) << "datagram " << i;
+  }
+  EXPECT_EQ(rx->net_counters().payload_bytes_copied, 0u);
+}
+
 // Regression for the two seed concurrency bugs: send() serialized under
 // the poll loop's mutex across the sendto syscall, and handler lookup by
 // raw fd could misroute a datagram to a just-rebound socket after fd
